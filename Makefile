@@ -1,4 +1,4 @@
-.PHONY: all build test lint absint models faults vm-diff serve-smoke check bench bench-compare clean
+.PHONY: all build test lint absint models faults vm-diff serve-smoke bench-smoke check bench bench-compare clean
 
 all: build
 
@@ -56,15 +56,18 @@ models: build
 
 # Fault-injection smoke: serve under injected delays/kills/corruption
 # (AUTOTYPE_FAULTS, DESIGN.md §10) and assert graceful degradation —
-# batches finish, per-value deadlines report DEADLINE, and a corrupted
-# artifact is rejected loudly rather than served.
+# batches finish, a per-value deadline reports DEADLINE on the VM route
+# (credit-card has no compiled tree), a compiled tree answers under the
+# same delay (ipv4), and a corrupted artifact is rejected loudly rather
+# than served.
 FAULTS_DIR ?= _build/models_faults
 faults: build
 	rm -rf $(FAULTS_DIR)
-	dune exec bin/autotype_cli.exe -- compile --type ipv4 --out $(FAULTS_DIR)
+	dune exec bin/autotype_cli.exe -- compile --type ipv4 --type credit-card --out $(FAULTS_DIR)
 	@printf '192.168.0.1\n10.0.0.7\n255.255.255.0\n8.8.8.8\n172.16.31.4\n' > $(FAULTS_DIR)/column.txt
 	AUTOTYPE_FAULTS="delay_ms=2,p_kill=0.3,seed=7" dune exec bin/autotype_cli.exe -- detect --column $(FAULTS_DIR)/column.txt --models $(FAULTS_DIR) --deadline-ms 500 --value-budget-ms 1 --stats
-	AUTOTYPE_FAULTS="delay_ms=5,seed=7" dune exec bin/autotype_cli.exe -- validate --model $(FAULTS_DIR)/ipv4.model --value-budget-ms 1 192.168.0.1 | grep -q DEADLINE
+	AUTOTYPE_FAULTS="delay_ms=5,seed=7" dune exec bin/autotype_cli.exe -- validate --model $(FAULTS_DIR)/credit-card.model --value-budget-ms 1 4532015112830366 | grep -q DEADLINE
+	AUTOTYPE_FAULTS="delay_ms=5,seed=7" dune exec bin/autotype_cli.exe -- validate --model $(FAULTS_DIR)/ipv4.model --value-budget-ms 1 192.168.0.1 | grep -q ' VALID$$'
 	@AUTOTYPE_FAULTS="p_corrupt=1,seed=7" dune exec bin/autotype_cli.exe -- validate --model $(FAULTS_DIR)/ipv4.model 192.168.0.1 && { echo "corrupted artifact was served"; exit 1; } || true
 	@echo "faults: OK"
 
@@ -98,6 +101,13 @@ serve-smoke: build
 	  || { echo "serve-smoke: daemon verdicts drifted from the one-shot CLI"; exit 1; }
 	@echo "serve-smoke: OK"
 
+# Benchmark smoke (autobench/README.md): every workload at tiny counts.
+# Among its gates, daemon replies must stay byte-identical to the
+# benchmark's in-process replay through Detect.serve_detector and
+# Detect.serve_column.
+bench-smoke: build
+	python3 autobench/test/smoke.py
+
 # Engine-parity smoke (DESIGN.md §14): the 4-type synthesis workload
 # run under the tree-walker (AUTOTYPE_VM=off) and the bytecode VM must
 # produce byte-identical ranked output, exercising the AUTOTYPE_VM
@@ -115,10 +125,11 @@ vm-diff: build
 	@echo "vm-diff: OK"
 
 # Full gate: build, test suites, the compile/serve smoke, the
-# fault-injection smoke, the engine-parity smoke, the daemon smoke, and
-# the observability paths (CLI --stats and the machine-readable bench
-# JSON).  Opt into the parallel-determinism gate with BENCH=1.
-check: build test lint absint models faults vm-diff serve-smoke $(if $(BENCH),bench-compare)
+# fault-injection smoke, the engine-parity smoke, the daemon smoke, the
+# benchmark smoke, and the observability paths (CLI --stats and the
+# machine-readable bench JSON).  Opt into the parallel-determinism gate
+# with BENCH=1.
+check: build test lint absint models faults vm-diff serve-smoke bench-smoke $(if $(BENCH),bench-compare)
 	dune exec bin/autotype_cli.exe -- synth --type credit-card --stats
 	dune exec bench/main.exe -- pipeline
 	@test -s BENCH_pipeline.json || { echo "BENCH_pipeline.json missing or empty"; exit 1; }

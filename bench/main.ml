@@ -809,17 +809,20 @@ let serve_pass type_ids =
         in
         (* One request context per served column, as the daemon would
            mint: every span/flight event of this type's workload is
-           attributable to it.  The detector routes through the
-           compiled summary when the artifact carries one, so the warm
-           pass exercises the production fast path. *)
-        let det = Tablecorpus.Detect.serve_detector entry in
+           attributable to it.  Each value takes the serve route, which
+           answers from the compiled summary when the artifact carries
+           one, so the warm pass exercises the production fast path. *)
+        let model = Tablecorpus.Detect.Loaded entry in
         Telemetry.Context.with_context (Telemetry.Context.root ())
         @@ fun () ->
         (id,
          List.map
            (fun v ->
              let t = Telemetry.now_ns () in
-             let verdict = det.Tablecorpus.Detect.accepts v in
+             let verdict =
+               Tablecorpus.Detect.serve model [ v ]
+               = [ Tablecorpus.Detect.V_valid ]
+             in
              let lat_ms =
                Int64.to_float (Int64.sub (Telemetry.now_ns ()) t) /. 1e6
              in
@@ -910,35 +913,32 @@ let serve_pass type_ids =
         | Ok e -> e
         | Error e -> fail (Model.Artifact.load_error_to_string e)
       in
-      match entry.Model.Registry.artifact.Model.Artifact.summary with
+      match entry.Model.Registry.tree with
       | None -> ()
-      | Some tree ->
-        (match Absint.Domain.prepare tree with
-         | None -> ()
-         | Some prepared ->
-           incr compiled_models;
-           let interp_fn =
-             Autotype_core.Synthesis.validate entry.Model.Registry.synthesis
-           in
-           List.iter
-             (fun v ->
-               let t = Telemetry.now_ns () in
-               let fast = Absint.Domain.eval_prepared prepared v in
-               fast_lats :=
-                 (Int64.to_float (Int64.sub (Telemetry.now_ns ()) t) /. 1e6)
-                 :: !fast_lats;
-               let t = Telemetry.now_ns () in
-               let slow = interp_fn v in
-               interp_lats :=
-                 (Int64.to_float (Int64.sub (Telemetry.now_ns ()) t) /. 1e6)
-                 :: !interp_lats;
-               if fast <> slow then begin
-                 routes_identical := false;
-                 Printf.eprintf
-                   "ROUTE DIVERGENCE on %s %S: fast=%b interp=%b\n" id v fast
-                   slow
-               end)
-             (serve_workload ty)))
+      | Some prepared ->
+        incr compiled_models;
+        let interp_fn =
+          Autotype_core.Synthesis.validate entry.Model.Registry.synthesis
+        in
+        List.iter
+          (fun v ->
+            let t = Telemetry.now_ns () in
+            let fast = Absint.Domain.eval_prepared prepared v in
+            fast_lats :=
+              (Int64.to_float (Int64.sub (Telemetry.now_ns ()) t) /. 1e6)
+              :: !fast_lats;
+            let t = Telemetry.now_ns () in
+            let slow = interp_fn v in
+            interp_lats :=
+              (Int64.to_float (Int64.sub (Telemetry.now_ns ()) t) /. 1e6)
+              :: !interp_lats;
+            if fast <> slow then begin
+              routes_identical := false;
+              Printf.eprintf
+                "ROUTE DIVERGENCE on %s %S: fast=%b interp=%b\n" id v fast
+                slow
+            end)
+          (serve_workload ty))
     type_ids;
   let fast_lat = Array.of_list !fast_lats in
   let interp_lat = Array.of_list !interp_lats in
@@ -1390,7 +1390,7 @@ let with_daemon registry f =
 
 (* Byte-parity probe: the daemon's verdict words for a type's full
    workload must equal what the one-shot CLI prints (both sides call
-   Tablecorpus.Detect.serve_values / the same detector route). *)
+   Tablecorpus.Detect.serve). *)
 let parity_probe registry workloads =
   let ok = ref true in
   let _, _, _ =
@@ -1451,8 +1451,7 @@ let parity_probe registry workloads =
             in
             let cli_verdicts =
               List.map Tablecorpus.Detect.value_verdict_to_string
-                (Tablecorpus.Detect.serve_values
-                   entry.Model.Registry.synthesis wl)
+                (Tablecorpus.Detect.serve (Tablecorpus.Detect.Loaded entry) wl)
             in
             if daemon_verdicts <> cli_verdicts then begin
               ok := false;

@@ -320,17 +320,16 @@ let value_budget_arg =
                  value that exceeds it reports DEADLINE and the batch \
                  continues.")
 
-(** Print VALID/invalid per value.  Unbudgeted callers get the exact
-    historical output; with budgets, a value cut by its own budget
-    prints DEADLINE and a batch-deadline cut skips the tail — the
-    request still exits 0 (degradation, not failure).  Verdicts come
-    from {!Tablecorpus.Detect.serve_values}, the same routine the
-    serving daemon answers with, so the two paths cannot diverge. *)
-let validate_values ?value_budget_ms ?deadline_ms syn values =
+(** Print VALID/invalid per value.  With budgets, a value cut by its
+    own budget prints DEADLINE and a batch-deadline cut skips the tail —
+    the request still exits 0 (degradation, not failure).  Verdicts come
+    from {!Tablecorpus.Detect.serve}, the route the serving daemon
+    answers with, so the two cannot diverge. *)
+let validate_values ?value_budget_ms ?deadline_ms syn model values =
   Printf.printf "using %s\n"
     (Repolib.Candidate.describe syn.Autotype_core.Synthesis.candidate);
   let budgets = Tablecorpus.Detect.budgets ?value_budget_ms ?deadline_ms () in
-  let verdicts = Tablecorpus.Detect.serve_values ~budgets syn values in
+  let verdicts = Tablecorpus.Detect.serve ~budgets model values in
   List.iter2
     (fun v verdict ->
       match verdict with
@@ -359,9 +358,11 @@ let validate_cmd =
            (Model.Artifact.key artifact)
            artifact.Model.Artifact.provenance.Model.Artifact.query
            Model.Artifact.format_version;
+         let entry = Model.Registry.entry_of_artifact artifact in
          let code =
            validate_values ?value_budget_ms ?deadline_ms
-             (Model.Artifact.to_synthesis artifact) values
+             entry.Model.Registry.synthesis (Tablecorpus.Detect.Loaded entry)
+             values
          in
          if Telemetry.enabled () then print_serve_summary ();
          code)
@@ -372,7 +373,9 @@ let validate_cmd =
        | Ok outcome ->
          (match Autotype_core.Pipeline.best outcome with
           | None -> prerr_endline "no function synthesized"; 1
-          | Some syn -> validate_values ?value_budget_ms ?deadline_ms syn values))
+          | Some syn ->
+            validate_values ?value_budget_ms ?deadline_ms syn
+              (Tablecorpus.Detect.Synthesized syn) values))
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Validate values with a synthesized function")
@@ -392,32 +395,36 @@ let models_arg =
            ~doc:"Serve compiled model artifacts from this registry \
                  directory instead of re-synthesizing each type.")
 
-(** The served entries for every model in a registry; [Error] (the
+(** [(key, model)] for every model in a registry; [Error] (the
     load-error string) as soon as any artifact is bad — the serve path
     must never silently re-run the pipeline. *)
-let served_entries registry =
+let served_models registry =
   List.fold_left
     (fun acc key ->
       match acc with
       | Error _ as e -> e
-      | Ok entries ->
+      | Ok models ->
         (match Model.Registry.find registry key with
          | Error e -> Error (Model.Artifact.load_error_to_string e)
-         | Ok entry -> Ok (entry :: entries)))
+         | Ok entry ->
+           let id = Model.Artifact.key entry.Model.Registry.artifact in
+           Ok ((id, Tablecorpus.Detect.Loaded entry) :: models)))
     (Ok []) (Model.Registry.keys registry)
 
-(** Budget-aware registry scan: each model's column verdict comes from
-    {!Tablecorpus.Detect.serve_column}, so a slow value is cut by its
-    own budget and a passed batch deadline degrades the remaining
-    models instead of failing the request. *)
-let scan_with_budgets ~budgets entries values =
+(** Scan one column against every [(type id, model)]: each column
+    verdict comes from {!Tablecorpus.Detect.column_verdict} over the
+    serve route, so a slow value is cut by its own budget and a passed
+    batch deadline degrades the remaining models instead of failing the
+    request. *)
+let scan ?value_budget_ms ?deadline_ms models values =
+  let budgets = Tablecorpus.Detect.budgets ?value_budget_ms ?deadline_ms () in
   let verdicts =
     List.map
-      (fun (entry : Model.Registry.entry) ->
-        ( Model.Artifact.key entry.Model.Registry.artifact,
-          Tablecorpus.Detect.serve_column ~budgets
-            entry.Model.Registry.synthesis values ))
-      entries
+      (fun (id, model) ->
+        ( id,
+          Tablecorpus.Detect.column_verdict
+            (Tablecorpus.Detect.serve ~budgets model values) ))
+      models
   in
   let hits =
     List.filter_map
@@ -426,39 +433,22 @@ let scan_with_budgets ~budgets entries values =
         | _ -> None)
       verdicts
   in
-  let degraded =
-    List.filter_map
-      (function
-        | id, Tablecorpus.Detect.Column_degraded { seen; accepted; total } ->
-          Some (id, seen, accepted, total)
-        | _ -> None)
-      verdicts
-  in
-  (hits, degraded)
-
-let report_hits hits =
-  Telemetry.incr (Telemetry.counter "detect.columns_scanned");
-  match hits with
-  | [] -> print_endline "no rich semantic type detected"
-  | hits ->
-    Telemetry.incr (Telemetry.counter "detect.columns_detected");
-    List.iter
-      (fun (id, frac) ->
-        Printf.printf "detected type %s (%.0f%% of values pass)\n" id
-          (100.0 *. frac))
-      hits
-
-let scan_with_detectors detectors values =
-  List.filter_map
-    (fun (det : Tablecorpus.Detect.detector) ->
-      let frac =
-        Tablecorpus.Detect.fraction_accepted det.Tablecorpus.Detect.accepts
-          values
-      in
-      if frac > Tablecorpus.Detect.detection_threshold then
-        Some (det.Tablecorpus.Detect.type_id, frac)
-      else None)
-    detectors
+  (match hits with
+   | [] -> print_endline "no rich semantic type detected"
+   | hits ->
+     List.iter
+       (fun (id, frac) ->
+         Printf.printf "detected type %s (%.0f%% of values pass)\n" id
+           (100.0 *. frac))
+       hits);
+  List.iter
+    (function
+      | id, Tablecorpus.Detect.Column_degraded { seen; accepted; total } ->
+        Printf.printf
+          "type %s: degraded (deadline after %d/%d values, %d accepted)\n" id
+          seen total accepted
+      | _ -> ())
+    verdicts
 
 let detect_cmd =
   let run column models deadline_ms value_budget_ms stats trace_file jobs =
@@ -480,36 +470,15 @@ let detect_cmd =
           Printf.eprintf "cannot open registry %s: %s\n" dir msg;
           1
         | Ok registry ->
-          (match served_entries registry with
+          (match served_models registry with
            | Error msg ->
              Printf.eprintf "cannot serve from %s: %s\n" dir msg;
              1
-           | Ok entries ->
+           | Ok models ->
              Printf.printf
                "column of %d values; serving %d compiled model(s)...\n"
-               (List.length values) (List.length entries);
-             (match (deadline_ms, value_budget_ms) with
-              | None, None ->
-                (* Unbudgeted: the exact historical scan and output. *)
-                report_hits
-                  (scan_with_detectors
-                     (List.map Tablecorpus.Detect.serve_detector entries)
-                     values)
-              | _ ->
-                let budgets =
-                  Tablecorpus.Detect.budgets ?value_budget_ms ?deadline_ms ()
-                in
-                let hits, degraded =
-                  scan_with_budgets ~budgets entries values
-                in
-                report_hits hits;
-                List.iter
-                  (fun (id, seen, accepted, total) ->
-                    Printf.printf
-                      "type %s: degraded (deadline after %d/%d values, %d \
-                       accepted)\n"
-                      id seen total accepted)
-                  degraded);
+               (List.length values) (List.length models);
+             scan ?value_budget_ms ?deadline_ms models values;
              if Telemetry.enabled () then print_serve_summary ();
              0)
       end
@@ -518,13 +487,16 @@ let detect_cmd =
         Printf.printf "column of %d values; scanning %d popular types...\n"
           (List.length values)
           (List.length Semtypes.Registry.popular);
-        let detectors =
-          List.map
+        let models =
+          List.filter_map
             (fun (ty : Semtypes.Registry.t) ->
-              Tablecorpus.Detect.dnf_detector ?pool ty)
+              Option.map
+                (fun syn ->
+                  (ty.Semtypes.Registry.id, Tablecorpus.Detect.Synthesized syn))
+                (Tablecorpus.Detect.synthesize ?pool ty))
             Semtypes.Registry.popular
         in
-        report_hits (scan_with_detectors detectors values);
+        scan ?value_budget_ms ?deadline_ms models values;
         0
     end
   in

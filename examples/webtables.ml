@@ -26,25 +26,26 @@ let () =
     ]
   in
   print_endline "building detectors (search + synthesis per type)...";
-  let detectors =
-    List.map
+  let models =
+    List.filter_map
       (fun type_id ->
-        let ty = Semtypes.Registry.find_exn type_id in
-        (type_id, Tablecorpus.Detect.dnf_detector ty))
+        Option.map
+          (fun syn -> (type_id, Tablecorpus.Detect.Synthesized syn))
+          (Tablecorpus.Detect.synthesize (Semtypes.Registry.find_exn type_id)))
       target_types
   in
   List.iteri
     (fun i values ->
       let verdicts =
         List.filter_map
-          (fun (type_id, det) ->
-            let frac =
-              Tablecorpus.Detect.fraction_accepted
-                det.Tablecorpus.Detect.accepts values
-            in
-            if frac > Tablecorpus.Detect.detection_threshold then Some type_id
-            else None)
-          detectors
+          (fun (type_id, model) ->
+            match
+              Tablecorpus.Detect.column_verdict
+                (Tablecorpus.Detect.serve model values)
+            with
+            | Tablecorpus.Detect.Column_match _ -> Some type_id
+            | _ -> None)
+          models
       in
       Printf.printf "column %d  (e.g. %-28s) -> %s\n" (i + 1)
         (String.concat "" [ "\""; List.hd values; "\"" ])

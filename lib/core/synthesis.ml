@@ -53,18 +53,6 @@ let validate_concise (t : t) (input : string) : bool =
 
 (** The single source of the Section 9.1 column-detection threshold:
     a column is of the type when more than this fraction of its values
-    pass.  [detect_column] below and
-    [Tablecorpus.Detect.detection_threshold] both read it, so the two
-    layers cannot drift apart. *)
+    pass.  [Tablecorpus.Detect.detection_threshold] re-exports it and
+    [Tablecorpus.Detect.column_verdict] is the one place it is applied. *)
 let default_detection_threshold = 0.8
-
-(** Column-level type detection (Section 9.1): a column is predicted to
-    be of the type if more than [threshold] of its values pass the
-    synthesized function. *)
-let detect_column ?(threshold = default_detection_threshold) (t : t)
-    (values : string list) : bool =
-  match values with
-  | [] -> false
-  | _ ->
-    let n_pass = List.length (List.filter (validate t) values) in
-    float_of_int n_pass > threshold *. float_of_int (List.length values)

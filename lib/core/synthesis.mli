@@ -31,10 +31,6 @@ val validate_concise : t -> string -> bool
 
 val default_detection_threshold : float
 (** The Section 9.1 column-detection threshold (0.8).  Single-sourced:
-    [detect_column] and [Tablecorpus.Detect.detection_threshold] both
-    use this value. *)
-
-val detect_column : ?threshold:float -> t -> string list -> bool
-(** Column-level detection (Section 9.1): true when more than
-    [threshold] (default {!default_detection_threshold}) of the values
-    pass. *)
+    [Tablecorpus.Detect.detection_threshold] re-exports it and
+    [Tablecorpus.Detect.column_verdict] is the one place it is
+    applied. *)

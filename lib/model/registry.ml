@@ -4,7 +4,15 @@
 type entry = {
   synthesis : Autotype_core.Synthesis.t;
   artifact : Artifact.t;
+  tree : bool Absint.Domain.prepared_tree option;
 }
+
+let entry_of_artifact (artifact : Artifact.t) =
+  {
+    synthesis = Artifact.to_synthesis artifact;
+    artifact;
+    tree = Option.bind artifact.Artifact.summary Absint.Domain.prepare;
+  }
 
 type cached = {
   entry : entry;
@@ -280,9 +288,7 @@ let find t key : (entry, Artifact.load_error) result =
            (match load_with_retry (Filename.concat t.dir name) with
             | Error e -> Error e
             | Ok artifact ->
-              let entry =
-                { synthesis = Artifact.to_synthesis artifact; artifact }
-              in
+              let entry = entry_of_artifact artifact in
               evict_lru t;
               Hashtbl.add t.cache key { entry; last_used = t.clock };
               Ok entry)))

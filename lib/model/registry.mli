@@ -17,7 +17,15 @@ type t
 type entry = {
   synthesis : Autotype_core.Synthesis.t;  (** ready-to-serve validator *)
   artifact : Artifact.t;  (** provenance and coverage metadata *)
+  tree : bool Absint.Domain.prepared_tree option;
+      (** the artifact's compiled verdict tree with its regexes parsed,
+          prepared once here; [None] when the artifact has no summary
+          or a stored regex no longer parses *)
 }
+
+val entry_of_artifact : Artifact.t -> entry
+(** Make an artifact ready to serve: rebuild its validator and prepare
+    its compiled tree.  {!find} builds its entries this way. *)
 
 val default_capacity : int
 (** LRU capacity (number of resident models) when not overridden. *)

@@ -71,49 +71,25 @@ let ctx_of (rq : Protocol.request) =
   | Some trace_id -> { Telemetry.Context.trace_id; request_id = rq.rq_id }
   | None -> Telemetry.Context.root ~request_id:rq.rq_id ()
 
-let budgets_of (rq : Protocol.request) =
-  match (rq.rq_deadline_ms, rq.rq_value_budget_ms) with
-  | None, None -> None
-  | deadline_ms, value_budget_ms ->
-    Some (Detect.budgets ?value_budget_ms ?deadline_ms ())
-
 (* Answer one validate/detect request against an already-served model.
-   Unbudgeted requests go through the detector (compiled fast path);
-   budgeted ones take the interpreter route, where wall-clock budgets
-   are enforceable. *)
-let answer (entry : Model.Registry.entry) detector trace_id
-    (rq : Protocol.request) =
-  match (rq.rq_op, budgets_of rq) with
-  | Protocol.Validate, None ->
-    let det = Lazy.force detector in
-    let verdicts =
-      List.map
-        (fun v ->
-          if det.Detect.accepts v then Detect.V_valid else Detect.V_invalid)
-        rq.rq_values
-    in
-    Protocol.ok_validate ~id:rq.rq_id ~trace_id ~verdicts
-  | Protocol.Validate, Some budgets ->
-    let verdicts = Detect.serve_values ~budgets entry.synthesis rq.rq_values in
-    Protocol.ok_validate ~id:rq.rq_id ~trace_id ~verdicts
-  | Protocol.Detect, None ->
-    let det = Lazy.force detector in
-    let f = Detect.fraction_accepted det.Detect.accepts rq.rq_values in
-    let verdict =
-      if f > Detect.detection_threshold then Detect.Column_match f
-      else Detect.Column_no_match f
-    in
-    Protocol.ok_detect ~id:rq.rq_id ~trace_id ~verdict
-  | Protocol.Detect, Some budgets ->
-    let verdict = Detect.serve_column ~budgets entry.synthesis rq.rq_values in
-    Protocol.ok_detect ~id:rq.rq_id ~trace_id ~verdict
-  | (Protocol.Stats | Protocol.Health | Protocol.Shutdown), _ ->
+   Budgeted or not, it takes the one serve route. *)
+let answer entry trace_id (rq : Protocol.request) =
+  let budgets =
+    Detect.budgets ?value_budget_ms:rq.rq_value_budget_ms
+      ?deadline_ms:rq.rq_deadline_ms ()
+  in
+  let verdicts = Detect.serve ~budgets (Detect.Loaded entry) rq.rq_values in
+  match rq.rq_op with
+  | Protocol.Validate -> Protocol.ok_validate ~id:rq.rq_id ~trace_id ~verdicts
+  | Protocol.Detect ->
+    Protocol.ok_detect ~id:rq.rq_id ~trace_id
+      ~verdict:(Detect.column_verdict verdicts)
+  | Protocol.Stats | Protocol.Health | Protocol.Shutdown ->
     assert false  (* never batched *)
 
-(* Serve one per-type batch: a single registry lookup (and at most one
-   detector construction) covers every request for the type this cycle.
-   Returns [(slot, response, ok)] — tallies are applied by the caller so
-   this can run on a pool worker. *)
+(* Serve one per-type batch: a single registry lookup covers every
+   request for the type this cycle.  Returns [(slot, response, ok)] —
+   tallies are applied by the caller so this can run on a pool worker. *)
 let serve_group t ((ty : string), members) =
   match Model.Registry.find t.cfg.registry ty with
   | Error err ->
@@ -127,12 +103,11 @@ let serve_group t ((ty : string), members) =
           false ))
       members
   | Ok entry ->
-    let detector = lazy (Detect.serve_detector entry) in
     List.map
       (fun (slot, (rq : Protocol.request)) ->
         let ctx = ctx_of rq in
         Telemetry.Context.with_context ctx @@ fun () ->
-        match answer entry detector ctx.trace_id rq with
+        match answer entry ctx.trace_id rq with
         | resp -> (slot, resp, true)
         | exception exn ->
           ( slot,

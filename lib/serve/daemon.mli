@@ -15,11 +15,12 @@
       testing.
     - {e Batching:} admitted validate/detect requests are grouped by
       type; each type costs one {!Model.Registry.find} (one LRU lock
-      round-trip, one possible artifact load) and at most one
-      {!Tablecorpus.Detect.serve_detector} construction per cycle, no
-      matter how many requests named it.  Groups run through
-      {!Exec.map} on the configured pool.  Responses are written back
-      in arrival order per connection.
+      round-trip, one possible artifact load) per cycle, no matter how
+      many requests named it.  Every request is then answered by
+      {!Tablecorpus.Detect.serve}, budgeted or not, and a detect's
+      column by {!Tablecorpus.Detect.column_verdict}.  Groups run
+      through {!Exec.map} on the configured pool.  Responses are
+      written back in arrival order per connection.
 
     Per-request work runs under a {!Telemetry.Context} — adopted from
     the request's [trace_id] when present, minted otherwise — so spans

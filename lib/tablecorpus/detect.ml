@@ -36,8 +36,8 @@ let header_keywords =
     ("stock-ticker", [ "ticker"; "symbol" ]);
     ("airport-code", [ "airport" ]) ]
 
-(* Single-sourced from the synthesis layer so the value-level and
-   column-level thresholds cannot drift apart (a test pins them). *)
+(* Single-sourced from the synthesis layer (a test pins the two
+   together) and applied only by [column_verdict]. *)
 let detection_threshold = Autotype_core.Synthesis.default_detection_threshold
 
 (** A per-type detector, built once and applied to every column. *)
@@ -46,13 +46,6 @@ type detector = {
   accepts : string -> bool;  (** value-level predicate *)
   usable : bool;  (** REGEX inference can fail on heterogeneous input *)
 }
-
-let fraction_accepted det values =
-  match values with
-  | [] -> 0.0
-  | _ ->
-    let n = List.length (List.filter det values) in
-    float_of_int n /. float_of_int (List.length values)
 
 let m_detectors_built = Telemetry.counter "detect.detectors_built"
 let m_fastpath_hits = Telemetry.counter "serve.fastpath_hits"
@@ -69,7 +62,7 @@ let r_degraded = Telemetry.rate "serve.degraded"
 let h_column_latency = Telemetry.histogram "serve.column_latency_ms"
 
 (* ------------------------------------------------------------------ *)
-(* Deadline-aware column serving                                       *)
+(* The serve route                                                     *)
 (* ------------------------------------------------------------------ *)
 
 type budgets = {
@@ -85,67 +78,9 @@ let budgets ?value_budget_ms ?deadline_ms () =
     batch_deadline = Option.map Exec.Deadline.after_ms deadline_ms;
   }
 
-type column_verdict =
-  | Column_match of float
-  | Column_no_match of float
-  | Column_degraded of { seen : int; accepted : int; total : int }
-
-(** Serve one column under wall-clock budgets.  Each value runs under
-    the tighter of its own budget and the batch deadline; a value that
-    deadlines counts as not-accepted ([serve.deadline_hits]) and the
-    column moves on.  Once the {e batch} deadline has passed, the
-    column stops and degrades to an "unknown" verdict carrying the
-    partial tally ([serve.degraded]) — the batch itself never fails. *)
-let serve_column ?(budgets = no_budgets)
-    (syn : Autotype_core.Synthesis.t) (values : string list) : column_verdict =
-  let total = List.length values in
-  let finish accepted =
-    let frac =
-      if total = 0 then 0.0 else float_of_int accepted /. float_of_int total
-    in
-    if frac > detection_threshold then Column_match frac
-    else Column_no_match frac
-  in
-  let rec go seen accepted = function
-    | [] -> finish accepted
-    | v :: rest ->
-      (match budgets.batch_deadline with
-       | Some d when Exec.Deadline.expired d ->
-         Telemetry.incr m_degraded;
-         Telemetry.mark r_degraded;
-         (* A degraded column is exactly what the flight recorder
-            exists for: record the event with its request attribution,
-            then dump the ring for post-mortem if a path is set. *)
-         Telemetry.Flight.record ~kind:"degraded"
-           ~value:(float_of_int seen) "serve.column";
-         Telemetry.Flight.trigger ~reason:"column_degraded";
-         Column_degraded { seen; accepted; total }
-       | _ ->
-         let deadline_ns =
-           Option.map Exec.Deadline.to_ns
-             (Exec.Deadline.min_opt
-                (Option.map Exec.Deadline.after_ms budgets.value_budget_ms)
-                budgets.batch_deadline)
-         in
-         (match Autotype_core.Synthesis.validate_v ?deadline_ns syn v with
-          | Autotype_core.Synthesis.Valid -> go (seen + 1) (accepted + 1) rest
-          | Autotype_core.Synthesis.Invalid -> go (seen + 1) accepted rest
-          | Autotype_core.Synthesis.Deadline ->
-            Telemetry.incr m_deadline_hits;
-            Telemetry.mark r_deadline_hits;
-            go (seen + 1) accepted rest))
-  in
-  Telemetry.mark r_columns;
-  if Telemetry.enabled () then
-    Telemetry.with_span "serve.column"
-      ~attrs:[ ("values", Telemetry.I total) ]
-      (fun () ->
-        let t_start = Telemetry.now_ns () in
-        let verdict = go 0 0 values in
-        Telemetry.observe h_column_latency
-          (Int64.to_float (Int64.sub (Telemetry.now_ns ()) t_start) /. 1e6);
-        verdict)
-  else go 0 0 values
+type model =
+  | Loaded of Model.Registry.entry
+  | Synthesized of Autotype_core.Synthesis.t
 
 type value_verdict = V_valid | V_invalid | V_deadline | V_skipped
 
@@ -155,85 +90,137 @@ let value_verdict_to_string = function
   | V_deadline -> "DEADLINE"
   | V_skipped -> "SKIPPED"
 
-(** Serve a list of values under budgets, one verdict per value — the
-    value-level twin of {!serve_column}, shared by [autotype validate]
-    and the serving daemon so their degradation behavior cannot drift.
-    Each value runs under the tighter of its own budget and the batch
-    deadline ([V_deadline], [serve.deadline_hits]); once the batch
-    deadline has passed, the remaining tail is answered [V_skipped]
-    without running ([serve.degraded], counted once per cut batch). *)
-let serve_values ?(budgets = no_budgets) (syn : Autotype_core.Synthesis.t)
-    (values : string list) : value_verdict list =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | v :: rest ->
+(* Values longer than this take the VM route even when a compiled tree
+   exists: the tree is proven equivalent at any length, but capping it
+   bounds the cost of a single regexlite guard on adversarially long
+   values and gives the fallback telemetry a stable meaning. *)
+let fastpath_max_len = 4096
+
+(* The VM route: run the validator under the tighter of the value's own
+   budget and the batch deadline. *)
+let run_vm budgets syn v =
+  let deadline_ns =
+    Option.map Exec.Deadline.to_ns
+      (Exec.Deadline.min_opt
+         (Option.map Exec.Deadline.after_ms budgets.value_budget_ms)
+         budgets.batch_deadline)
+  in
+  match Autotype_core.Synthesis.validate_v ?deadline_ns syn v with
+  | Autotype_core.Synthesis.Valid -> V_valid
+  | Autotype_core.Synthesis.Invalid -> V_invalid
+  | Autotype_core.Synthesis.Deadline ->
+    Telemetry.incr m_deadline_hits;
+    Telemetry.mark r_deadline_hits;
+    V_deadline
+
+(* One value: the compiled tree when the model has one and the value
+   fits, under any budget — the tree has no loops, so its cost is
+   bounded by the value's length — otherwise the VM. *)
+let serve_value budgets model v =
+  match model with
+  | Synthesized syn | Loaded { synthesis = syn; tree = None; _ } ->
+    run_vm budgets syn v
+  | Loaded { synthesis; tree = Some tree; artifact } ->
+    if String.length v <= fastpath_max_len then begin
+      Telemetry.incr m_fastpath_hits;
+      if Absint.Domain.eval_prepared tree v then V_valid else V_invalid
+    end
+    else begin
+      Telemetry.incr m_fastpath_fallbacks;
+      Telemetry.Flight.record ~kind:"fastpath_fallback"
+        ~value:(float_of_int (String.length v))
+        (Model.Artifact.key artifact);
+      run_vm budgets synthesis v
+    end
+
+let serve ?(budgets = no_budgets) model values =
+  let[@tail_mod_cons] rec go seen = function
+    | [] -> []
+    | v :: rest as tail ->
       (match budgets.batch_deadline with
        | Some d when Exec.Deadline.expired d ->
          Telemetry.incr m_degraded;
          Telemetry.mark r_degraded;
-         List.rev_append acc (List.map (fun _ -> V_skipped) (v :: rest))
+         Telemetry.Flight.record ~kind:"degraded" ~value:(float_of_int seen)
+           "serve.column";
+         Telemetry.Flight.trigger ~reason:"degraded";
+         List.map (fun _ -> V_skipped) tail
        | _ ->
-         let deadline_ns =
-           Option.map Exec.Deadline.to_ns
-             (Exec.Deadline.min_opt
-                (Option.map Exec.Deadline.after_ms budgets.value_budget_ms)
-                budgets.batch_deadline)
-         in
-         let verdict =
-           match Autotype_core.Synthesis.validate_v ?deadline_ns syn v with
-           | Autotype_core.Synthesis.Valid -> V_valid
-           | Autotype_core.Synthesis.Invalid -> V_invalid
-           | Autotype_core.Synthesis.Deadline ->
-             Telemetry.incr m_deadline_hits;
-             Telemetry.mark r_deadline_hits;
-             V_deadline
-         in
-         go (verdict :: acc) rest)
+         (* Bound before the cons: values must run in order, because the
+            batch deadline is checked between them. *)
+         let verdict = serve_value budgets model v in
+         verdict :: go (seen + 1) rest)
   in
-  go [] values
+  Telemetry.mark r_columns;
+  if Telemetry.enabled () then
+    Telemetry.with_span "serve.column"
+      ~attrs:[ ("values", Telemetry.I (List.length values)) ]
+      (fun () ->
+        let t_start = Telemetry.now_ns () in
+        let verdicts = go 0 values in
+        Telemetry.observe h_column_latency
+          (Int64.to_float (Int64.sub (Telemetry.now_ns ()) t_start) /. 1e6);
+        verdicts)
+  else go 0 values
 
-(* Values longer than this take the interpreter route even when a
-   compiled summary exists: the fast path is proven equivalent at any
-   length, but capping it bounds the cost of a single regexlite guard
-   on adversarially long values and gives the fallback telemetry a
-   stable meaning. *)
-let fastpath_max_len = 4096
+type column_verdict =
+  | Column_match of float
+  | Column_no_match of float
+  | Column_degraded of { seen : int; accepted : int; total : int }
+
+(** The Section 9.1 column rule, and the only place it is applied. *)
+let column_verdict verdicts =
+  let rec tally seen accepted = function
+    | [] -> (seen, accepted)
+    | V_valid :: rest -> tally (seen + 1) (accepted + 1) rest
+    | (V_invalid | V_deadline) :: rest -> tally (seen + 1) accepted rest
+    | V_skipped :: rest -> tally seen accepted rest
+  in
+  let seen, accepted = tally 0 0 verdicts in
+  let total = List.length verdicts in
+  Telemetry.incr m_columns_scanned;
+  if seen < total then Column_degraded { seen; accepted; total }
+  else
+    let frac =
+      if total = 0 then 0.0 else float_of_int accepted /. float_of_int total
+    in
+    if frac > detection_threshold then begin
+      Telemetry.incr m_columns_detected;
+      Column_match frac
+    end
+    else Column_no_match frac
+
+let serve_column ?budgets syn values =
+  column_verdict (serve ?budgets (Synthesized syn) values)
 
 (** Wrap a registry-served model as a detector — the warm serving path:
-    no search, no analysis, no negative generation.
-
-    When the artifact carries a compiled fast-path summary (format v2,
-    DESIGN.md §13), eligible values are answered by the verdict tree —
-    pure string operations, no interpreter.  Ineligible values (longer
-    than {!fastpath_max_len}, or every value when the summary is absent
-    or its stored regex fails to prepare) fall back to
-    {!Autotype_core.Synthesis.validate}; each per-value fallback is
-    counted ([serve.fastpath_fallbacks]) and flight-recorded. *)
+    no search, no analysis, no negative generation; each value goes
+    through the serve route, compiled tree first. *)
 let serve_detector (entry : Model.Registry.entry) : detector =
   Telemetry.incr m_models_served;
-  let type_id = Model.Artifact.key entry.Model.Registry.artifact in
-  let interp = Autotype_core.Synthesis.validate entry.Model.Registry.synthesis in
-  let accepts =
-    match entry.Model.Registry.artifact.Model.Artifact.summary with
-    | None -> interp
-    | Some tree ->
-      (match Absint.Domain.prepare tree with
-       | None -> interp
-       | Some prepared ->
-         fun v ->
-           if String.length v <= fastpath_max_len then begin
-             Telemetry.incr m_fastpath_hits;
-             Absint.Domain.eval_prepared prepared v
-           end
-           else begin
-             Telemetry.incr m_fastpath_fallbacks;
-             Telemetry.Flight.record ~kind:"fastpath_fallback"
-               ~value:(float_of_int (String.length v))
-               type_id;
-             interp v
-           end)
+  let model = Loaded entry in
+  {
+    type_id = Model.Artifact.key entry.Model.Registry.artifact;
+    accepts = (fun v -> serve_value no_budgets model v = V_valid);
+    usable = true;
+  }
+
+(** Synthesize the top-1 validator for a type from 20 seeded positives
+    (the DNF-S method's live detector); [None] when nothing was
+    synthesized. *)
+let synthesize ?(seed = 11) ?pool (ty : Semtypes.Registry.t) =
+  Telemetry.with_span "detect.synthesize"
+    ~attrs:[ ("type", Telemetry.S ty.Semtypes.Registry.id) ]
+  @@ fun () ->
+  Telemetry.incr m_detectors_built;
+  let positives = Semtypes.Registry.positive_examples ~n:20 ~seed ty in
+  let outcome =
+    Autotype_core.Pipeline.synthesize ?pool ~index:(Corpus.search_index ())
+      ~query:ty.Semtypes.Registry.name ~positives ()
   in
-  { type_id; accepts; usable = true }
+  let best = Autotype_core.Pipeline.best outcome in
+  if Option.is_none best then Telemetry.add_attr "usable" (Telemetry.B false);
+  best
 
 (** Build the DNF-S detector for a type.  With a [registry] holding a
     compiled model for the type, the model is served from it (LRU-cached
@@ -262,26 +249,12 @@ let dnf_detector ?(seed = 11) ?pool ?registry (ty : Semtypes.Registry.t) :
   match served with
   | Some det -> det
   | None ->
-    Telemetry.with_span "detect.synthesize"
-      ~attrs:[ ("type", Telemetry.S ty.Semtypes.Registry.id) ]
-    @@ fun () ->
-    Telemetry.incr m_detectors_built;
-    let positives = Semtypes.Registry.positive_examples ~n:20 ~seed ty in
-    let outcome =
-      Autotype_core.Pipeline.synthesize ?pool ~index:(Corpus.search_index ())
-        ~query:ty.Semtypes.Registry.name ~positives ()
-    in
-    (match Autotype_core.Pipeline.best outcome with
+    let type_id = ty.Semtypes.Registry.id in
+    (match synthesize ~seed ?pool ty with
      | Some syn ->
-       {
-         type_id = ty.Semtypes.Registry.id;
-         accepts = Autotype_core.Synthesis.validate syn;
-         usable = true;
-       }
-     | None ->
-       Telemetry.add_attr "usable" (Telemetry.B false);
-       { type_id = ty.Semtypes.Registry.id; accepts = (fun _ -> false);
-         usable = false })
+       let accepts = Autotype_core.Synthesis.validate syn in
+       { type_id; accepts; usable = true }
+     | None -> { type_id; accepts = (fun _ -> false); usable = false })
 
 (** REGEX detector: Potter's-Wheel inference from the same positives. *)
 let regex_detector ?(seed = 11) (ty : Semtypes.Registry.t) : detector =
@@ -321,22 +294,23 @@ let header_matches type_id (header : string option) =
         go 0)
       keywords
 
-(** Detect columns of [type_id] with a value-level detector. *)
+(** Detect columns of [type_id] with a value-level detector; each
+    column is decided by {!column_verdict}. *)
 let detect_with_values (det : detector) (columns : Webtables.column list) :
     Webtables.column list =
   if not det.usable then []
-  else begin
-    Telemetry.incr ~by:(List.length columns) m_columns_scanned;
-    let detected =
-      List.filter
-        (fun (c : Webtables.column) ->
-          fraction_accepted det.accepts c.Webtables.values
-          > detection_threshold)
-        columns
-    in
-    Telemetry.incr ~by:(List.length detected) m_columns_detected;
-    detected
-  end
+  else
+    List.filter
+      (fun (c : Webtables.column) ->
+        match
+          column_verdict
+            (List.map
+               (fun v -> if det.accepts v then V_valid else V_invalid)
+               c.Webtables.values)
+        with
+        | Column_match _ -> true
+        | Column_no_match _ | Column_degraded _ -> false)
+      columns
 
 let detect_with_headers type_id (columns : Webtables.column list) :
     Webtables.column list =

@@ -254,10 +254,7 @@ let test_v1_artifact_rejected () =
 
 let test_serve_fastpath_and_fallback () =
   let artifact = artifact_ipv4 () in
-  let entry =
-    { Model.Registry.synthesis = Model.Artifact.to_synthesis artifact;
-      artifact }
-  in
+  let entry = Model.Registry.entry_of_artifact artifact in
   Telemetry.reset ();
   Telemetry.enable ();
   Telemetry.Flight.clear ();

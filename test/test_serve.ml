@@ -353,42 +353,180 @@ let test_daemon_overload () =
   in
   Alcotest.(check int) "overloaded responses" 3 (List.length overloaded)
 
+let reply_of replies id =
+  (List.find (fun r -> r.Serve.Protocol.rp_id = id) replies)
+    .Serve.Protocol.rp_body
+
+let verdicts_of replies id =
+  str_list (J.member "verdicts" (reply_of replies id))
+
+let with_faults config f =
+  Fun.protect ~finally:(fun () -> Faults.set None) @@ fun () ->
+  Faults.set (Some config);
+  f ()
+
 let test_daemon_batching_budgets () =
-  (* Budgeted requests run through serve_values; a generous budget must
-     agree with the unbudgeted path on every verdict, and with the
-     local library result — including the empty value. *)
+  (* Budgeted requests take the same route as unbudgeted ones: a
+     generous budget must agree with the unbudgeted path on every
+     verdict, and with the local library result — including the empty
+     value.  The budgeted request runs with every VM run killed: ipv4
+     answers from its compiled tree under any budget, so nothing may
+     change. *)
   let values = [ "1.2.3.4"; ""; "nope"; "4.3.2.1" ] in
   let enc = J.List (List.map (fun v -> J.Str v) values) in
-  let frames =
-    [ J.to_string
-        (J.Obj [ ("id", J.Int 1); ("op", J.Str "validate");
-                 ("type", J.Str "ipv4"); ("values", enc) ]);
-      J.to_string
-        (J.Obj [ ("id", J.Int 2); ("op", J.Str "validate");
-                 ("type", J.Str "ipv4"); ("values", enc);
-                 ("deadline_ms", J.Float 60000.0);
-                 ("value_budget_ms", J.Float 60000.0) ]);
-      J.to_string (J.Obj [ ("id", J.Int 3); ("op", J.Str "shutdown") ]) ]
+  let shutdown = {|{"id":9,"op":"shutdown"}|} in
+  let unbudgeted, _, _ =
+    run_over_pipes
+      [ J.to_string
+          (J.Obj [ ("id", J.Int 1); ("op", J.Str "validate");
+                   ("type", J.Str "ipv4"); ("values", enc) ]);
+        shutdown ]
   in
-  let replies, _, _ = run_over_pipes frames in
-  let verdicts id =
-    str_list
-      (J.member "verdicts"
-         (List.find (fun r -> r.Serve.Protocol.rp_id = id) replies)
-           .Serve.Protocol.rp_body)
+  Telemetry.enable ();
+  let budgeted, _, _ =
+    with_faults { Faults.default with Faults.p_kill = 1.0; seed = 7 }
+    @@ fun () ->
+    run_over_pipes
+      [ J.to_string
+          (J.Obj [ ("id", J.Int 2); ("op", J.Str "validate");
+                   ("type", J.Str "ipv4"); ("values", enc);
+                   ("deadline_ms", J.Float 60000.0);
+                   ("value_budget_ms", J.Float 60000.0) ]);
+        shutdown ]
   in
+  Telemetry.disable ();
+  let snap = Telemetry.snapshot () in
+  Telemetry.reset ();
   Alcotest.(check int) "budgeted total matches value count"
     (List.length values)
-    (List.length (verdicts 2));
+    (List.length (verdicts_of budgeted 2));
   Alcotest.(check (list string)) "budgeted agrees with unbudgeted"
-    (verdicts 1) (verdicts 2);
+    (verdicts_of unbudgeted 1) (verdicts_of budgeted 2);
   let syn = ipv4_synthesis () in
+  Alcotest.(check (list string)) "budgeted agrees with fault-free validate"
+    (List.map
+       (fun v ->
+         if Autotype_core.Synthesis.validate syn v then "VALID" else "invalid")
+       values)
+    (verdicts_of budgeted 2);
+  Alcotest.(check int) "the budgeted request took the compiled tree"
+    (List.length values)
+    (Telemetry.find_counter snap "serve.fastpath_hits");
   let local =
     List.map Tablecorpus.Detect.value_verdict_to_string
-      (Tablecorpus.Detect.serve_values syn values)
+      (Tablecorpus.Detect.serve (Tablecorpus.Detect.Synthesized syn) values)
   in
-  Alcotest.(check (list string)) "daemon agrees with serve_values" local
-    (verdicts 2)
+  Alcotest.(check (list string)) "daemon agrees with serve" local
+    (verdicts_of budgeted 2)
+
+let test_route_independent_of_budgets () =
+  (* With every VM run killed, ipv4's answers come from its compiled
+     tree whether or not a budget is sent, over the wire and through
+     the one-shot [validate --model] route alike. *)
+  let values = [ "192.168.0.1"; "8.8.8.8"; "nope" ] in
+  let ips = [ "192.168.0.1"; "8.8.8.8"; "10.0.0.1" ] in
+  let enc vs = J.List (List.map (fun v -> J.Str v) vs) in
+  let budget = [ ("deadline_ms", J.Float 10000.0) ] in
+  let req id op vs extra =
+    J.to_string
+      (J.Obj
+         ([ ("id", J.Int id); ("op", J.Str op); ("type", J.Str "ipv4");
+            ("values", enc vs) ]
+         @ extra))
+  in
+  with_faults { Faults.default with Faults.p_kill = 1.0; seed = 7 }
+  @@ fun () ->
+  let replies, _, _ =
+    run_over_pipes
+      [ req 1 "validate" values []; req 2 "validate" values budget;
+        req 3 "detect" ips []; req 4 "detect" ips budget;
+        {|{"id":5,"op":"shutdown"}|} ]
+  in
+  let expected = [ "VALID"; "VALID"; "invalid" ] in
+  Alcotest.(check (list string)) "unbudgeted validate" expected
+    (verdicts_of replies 1);
+  Alcotest.(check (list string)) "budgeted validate" expected
+    (verdicts_of replies 2);
+  List.iter
+    (fun id ->
+      let body = reply_of replies id in
+      Alcotest.(check bool) (Printf.sprintf "detect %d detected" id) true
+        (J.to_bool (J.member "detected" body));
+      Alcotest.(check (float 0.0)) (Printf.sprintf "detect %d fraction" id)
+        1.0 (J.to_float (J.member "fraction" body)))
+    [ 3; 4 ];
+  let path = Option.get (Model.Registry.path_of (open_registry ()) "ipv4") in
+  match Model.Artifact.load path with
+  | Error e -> Alcotest.fail (Model.Artifact.load_error_to_string e)
+  | Ok artifact ->
+    Alcotest.(check (list string)) "validate --model" expected
+      (List.map Tablecorpus.Detect.value_verdict_to_string
+         (Tablecorpus.Detect.serve
+            (Tablecorpus.Detect.Loaded
+               (Model.Registry.entry_of_artifact artifact))
+            values))
+
+let test_daemon_serve_telemetry () =
+  (* Every detect is one served column, budgeted or not; a validate cut
+     by its batch deadline is degraded exactly like a detect: counted,
+     flight-recorded and dumped. *)
+  let ips = J.List [ J.Str "10.0.0.1"; J.Str "8.8.8.8" ] in
+  let path = fresh_path ".jsonl" in
+  let saved_dump = Telemetry.Flight.dump_path () in
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Flight.set_dump_path saved_dump;
+      if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  Telemetry.enable ();
+  let replies, _, _ =
+    run_over_pipes
+      [ J.to_string
+          (J.Obj [ ("id", J.Int 1); ("op", J.Str "detect");
+                   ("type", J.Str "ipv4"); ("values", ips) ]);
+        J.to_string
+          (J.Obj [ ("id", J.Int 2); ("op", J.Str "detect");
+                   ("type", J.Str "ipv4"); ("values", ips);
+                   ("deadline_ms", J.Float 60000.0) ]);
+        {|{"id":3,"op":"shutdown"}|} ]
+  in
+  let snap = Telemetry.snapshot () in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Printf.sprintf "detect %d detected" id) true
+        (J.to_bool (J.member "detected" (reply_of replies id))))
+    [ 1; 2 ];
+  Alcotest.(check int) "both detects counted as served columns" 2
+    (List.assoc "serve.columns" snap.Telemetry.rates).Telemetry.rt_count;
+  Alcotest.(check int) "both detects timed" 2
+    (List.assoc "serve.column_latency_ms" snap.Telemetry.histograms)
+      .Telemetry.h_count;
+  Alcotest.(check int) "both detects decided a column" 2
+    (Telemetry.find_counter snap "detect.columns_scanned");
+  Telemetry.enable ();
+  Telemetry.Flight.set_dump_path (Some path);
+  let replies, _, _ =
+    run_over_pipes
+      [ J.to_string
+          (J.Obj [ ("id", J.Int 1); ("op", J.Str "validate");
+                   ("type", J.Str "ipv4"); ("values", ips);
+                   ("deadline_ms", J.Float 0.0) ]);
+        {|{"id":2,"op":"shutdown"}|} ]
+  in
+  Telemetry.disable ();
+  let snap = Telemetry.snapshot () in
+  Alcotest.(check (list string)) "expired batch skips every value"
+    [ "SKIPPED"; "SKIPPED" ] (verdicts_of replies 1);
+  Alcotest.(check int) "cut validate counted as degraded" 1
+    (Telemetry.find_counter snap "serve.degraded");
+  Alcotest.(check bool) "cut validate left a degraded flight event" true
+    (List.exists
+       (fun (e : Telemetry.Flight.event) ->
+         e.Telemetry.Flight.f_kind = "degraded")
+       (Telemetry.Flight.events ()));
+  Alcotest.(check bool) "cut validate dumped the flight ring" true
+    (Sys.file_exists path);
+  Telemetry.reset ()
 
 let test_daemon_socket () =
   let path = fresh_path ".sock" in
@@ -467,9 +605,10 @@ let test_empty_column_totals () =
     0.6 frac_unbudgeted;
   Alcotest.(check (float 1e-9)) "budgeted path agrees on the denominator"
     frac_unbudgeted frac_budgeted;
-  Alcotest.(check int) "serve_values answers every value, empties too"
+  Alcotest.(check int) "serve answers every value, empties too"
     (List.length values)
-    (List.length (Tablecorpus.Detect.serve_values syn values))
+    (List.length
+       (Tablecorpus.Detect.serve (Tablecorpus.Detect.Synthesized syn) values))
 
 let suite =
   [ ("read_column preserves empty values", `Quick,
@@ -485,5 +624,9 @@ let suite =
     ("daemon trace-id adoption", `Slow, test_daemon_trace_id_echo);
     ("daemon admission control", `Slow, test_daemon_overload);
     ("daemon budgeted/unbudgeted parity", `Slow, test_daemon_batching_budgets);
+    ("verdicts independent of budgets under VM kills", `Slow,
+     test_route_independent_of_budgets);
+    ("daemon serve telemetry: columns and cut validates", `Slow,
+     test_daemon_serve_telemetry);
     ("daemon over a Unix socket", `Slow, test_daemon_socket);
     ("empty values count in column totals", `Slow, test_empty_column_totals) ]

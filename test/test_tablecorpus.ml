@@ -84,6 +84,49 @@ let test_detection_threshold_single_source () =
   Alcotest.(check (float 0.0)) "value is the paper's 0.8" 0.8
     Tablecorpus.Detect.detection_threshold
 
+let test_column_verdict () =
+  (* The Section 9.1 rule, applied in one place: more than 0.8 of all
+     values (empties included) must be VALID; any skipped value makes
+     the column degraded.  Every decision counts one scanned column,
+     whoever made it. *)
+  let open Tablecorpus.Detect in
+  Telemetry.enable ();
+  let frac = function
+    | Column_match f | Column_no_match f -> f
+    | Column_degraded _ -> Alcotest.fail "unexpected degradation"
+  in
+  let v = column_verdict [ V_valid; V_valid; V_valid; V_valid; V_invalid ] in
+  Alcotest.(check bool) "4/5 is at, not above, the threshold" true
+    (match v with Column_no_match _ -> true | _ -> false);
+  Alcotest.(check (float 0.0)) "fraction is accepted / total" 0.8 (frac v);
+  let v = column_verdict [ V_valid; V_valid ] in
+  Alcotest.(check bool) "clean column matches" true
+    (match v with Column_match _ -> true | _ -> false);
+  Alcotest.(check (float 0.0)) "empty column" 0.0 (frac (column_verdict []));
+  Alcotest.(check (float 0.0)) "a deadline counts as not accepted" 0.5
+    (frac (column_verdict [ V_valid; V_deadline ]));
+  (match column_verdict [ V_valid; V_deadline; V_skipped; V_skipped ] with
+   | Column_degraded { seen; accepted; total } ->
+     Alcotest.(check (list int)) "seen, accepted, total" [ 2; 1; 4 ]
+       [ seen; accepted; total ]
+   | _ -> Alcotest.fail "a skipped value must degrade the column");
+  let column values =
+    { Tablecorpus.Webtables.header = None; values; truth = None; note = "" }
+  in
+  let det = { type_id = "x"; accepts = (fun v -> v = "a"); usable = true } in
+  let detected =
+    detect_with_values det [ column [ "a"; "a" ]; column [ "a"; "b" ] ]
+  in
+  Telemetry.disable ();
+  let snap = Telemetry.snapshot () in
+  Telemetry.reset ();
+  Alcotest.(check int) "the sweep decides through the same rule" 1
+    (List.length detected);
+  Alcotest.(check int) "one scanned column per decision" 7
+    (Telemetry.find_counter snap "detect.columns_scanned");
+  Alcotest.(check int) "one detected column per match" 2
+    (Telemetry.find_counter snap "detect.columns_detected")
+
 let test_header_matching () =
   Alcotest.(check bool) "direct" true
     (Tablecorpus.Detect.header_matches "email" (Some "Email"));
@@ -385,6 +428,7 @@ let suite =
     ("webtable generation", `Quick, test_corpus_generation);
     ("detection threshold single-sourced", `Quick,
      test_detection_threshold_single_source);
+    ("column_verdict: the one column rule", `Quick, test_column_verdict);
     ("header matching", `Quick, test_header_matching);
     ("detection end-to-end", `Slow, test_detection_small_corpus);
     ("serve_column budgets and degradation", `Slow, test_serve_column_budgets);
