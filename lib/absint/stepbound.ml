@@ -6,9 +6,10 @@
     anything the analysis cannot price aborts to [Bound_unknown].
 
     The cost model mirrors the interpreter's three — and only three —
-    tick sites exactly ({!Minilang.Interp}):
-    - one tick per [eval] entry, bounded above by the syntactic node
-      count of the expression (short-circuiting only evaluates fewer);
+    tick sites exactly ({!Minilang.Rt}):
+    - one tick per expression evaluated, bounded above by the syntactic
+      node count of the expression (short-circuiting only evaluates
+      fewer);
     - one tick per executed statement;
     - one tick per [for]-loop item.
     Native builtins, string/list/dict methods and the regex bridge

@@ -4,10 +4,12 @@
     unit (module body, function body, default expression, or the
     sub-blocks of a [try] statement).  Identifiers are resolved to
     frame slot indices at compile time (module-level names stay
-    dynamic, matching the tree-walker's scope chain); regex literals in
-    [re.xxx("pat", s)] calls are pre-compiled; step charging is batched
-    into [I_tick k] instructions whose placement reproduces the
-    tree-walker's three tick sites bit-for-bit (see {!Rt.tick_n}).
+    dynamic, matching the scope chain of the tree-walking reference
+    evaluator in [test/oracle], "the tree-walker" below); regex
+    literals in [re.xxx("pat", s)] calls are pre-compiled; step
+    charging is batched into [I_tick k] instructions whose placement
+    reproduces the three tick sites of {!Rt} bit-for-bit (see
+    {!Rt.tick_n}).
 
     Effect-order parity is the contract, so the emitter mirrors the
     tree-walker's (OCaml-determined) evaluation order exactly — notably

@@ -1,11 +1,11 @@
 (** Lowering of {!Ast} to flat bytecode for {!Vm}.
 
     Identifiers resolve to frame slots at compile time (module-level
-    names stay dynamic, matching the tree-walker's scope chain), regex
-    literals pre-compile, control flow is jump-threaded, and step
-    charging is batched into [I_tick k] instructions placed so
-    {!Rt.tick_n} reproduces the tree-walker's three tick sites
-    bit-for-bit.  Compiled units are cached per domain keyed on the
+    names stay dynamic, matching the scope chain of the tree-walking
+    reference evaluator in [test/oracle]), regex literals pre-compile,
+    control flow is jump-threaded, and step charging is batched into
+    [I_tick k] instructions placed so {!Rt.tick_n} reproduces the three
+    tick sites of {!Rt} bit-for-bit.  Compiled units are cached per domain keyed on the
     physical identity of the AST node (sound because
     [Repolib.Repo.parse_each] shares parsed ASTs across runs). *)
 

@@ -1,5 +1,5 @@
-(** Tree-walking interpreter for MiniScript with execution tracing and
-    sandboxing.
+(** MiniScript execution on the bytecode VM ({!Compile} + {!Vm}) with
+    execution tracing and sandboxing.
 
     Every if/elif/while/ternary condition emits a {!Trace.Branch} event,
     every return a {!Trace.Return} with the abstracted value, uncaught
@@ -7,7 +7,9 @@
     {!Trace.Assign} — the native equivalent of the paper's byte-code
     instrumentation (Appendix D.2).  A step budget and call-depth cap
     replace the paper's per-function watchdog; exceeding them raises
-    {!Sandbox_limit}, which MiniScript [try/except] cannot catch. *)
+    {!Sandbox_limit}, which MiniScript [try/except] cannot catch.  The
+    test suite checks the VM against a tree-walking reference evaluator
+    that runs every program straight off the AST. *)
 
 exception Sandbox_limit of string
 
@@ -31,8 +33,11 @@ val cancel_token : unit -> cancel_token
 val cancel : cancel_token -> unit
 val cancel_requested : cancel_token -> bool
 
-type ctx
-(** Per-run execution context: collector, budgets, virtual I/O. *)
+type ctx = Rt.ctx
+(** Per-run execution context: collector, budgets, virtual I/O.  The
+    representation is {!Rt.ctx}, so an evaluator outside this library
+    (the test suite's tree-walking reference) can run inside
+    {!run_traced}. *)
 
 val create_ctx :
   ?config:config ->
@@ -104,14 +109,3 @@ val call_callable : ctx -> Value.t -> Value.t list -> Value.t
 
 val call_method : ctx -> Value.t -> string -> Value.t list -> Ast.pos -> Value.t
 (** Call a method on any value (string/list/dict methods included). *)
-
-val set_vm_enabled : bool -> unit
-(** Select the execution engine: [true] (default) runs the bytecode VM
-    ({!Compile} + {!Vm}); [false] runs the tree-walking oracle.  The
-    initial value honours [AUTOTYPE_VM] ([off]/[0]/[false] disable the
-    VM).  Both engines are observationally identical — same trace
-    events, outcomes, step counts and error messages. *)
-
-val vm_enabled : unit -> bool
-(** Which engine {!exec_program}, {!call_callable} and {!call_method}
-    currently dispatch to. *)

@@ -1,21 +1,23 @@
-(** Shared MiniScript runtime: the engine-independent half of the
-    interpreter.
+(** Shared MiniScript runtime: the half of the interpreter that does
+    not depend on how a program is walked.
 
-    Both execution engines — the tree-walking {!Interp} (the oracle) and
-    the bytecode {!Vm} — dispatch to the very same value primitives,
-    builtin table, string/list/dict/file methods and regex bridge defined
-    here, so their observable semantics cannot drift: every error kind,
-    message and sandbox limit below is shared verbatim.
+    The bytecode {!Vm} and the test suite's tree-walking reference
+    evaluator dispatch to the very same value primitives, builtin table,
+    string/list/dict/file methods and regex bridge defined here, so
+    their observable semantics cannot drift: every error kind, message
+    and sandbox limit below is shared verbatim.
 
-    The step-accounting contract also lives here.  There are three — and
-    only three — tick sites ({!Absint.Stepbound} prices programs against
-    them): one tick per [eval] entry, one per executed statement, one per
-    [for]-loop item.  {!tick} is the tree-walker's per-site probe;
-    {!tick_n} is the VM's batched equivalent and is bit-for-bit
-    compatible: identical final step counts, identical raise points
-    relative to observable events, the cancel token checked on every
-    batch and the wall-clock deadline probed exactly at step numbers
-    divisible by 256. *)
+    The step-accounting contract also lives here.  A run is charged at
+    three — and only three — tick sites ({!Absint.Stepbound} prices
+    programs against them): one tick per expression evaluated, one per
+    executed statement, one per [for]-loop item.  The VM's compiler
+    batches consecutive ticks into one [I_tick k], and {!tick_n} charges
+    the batch exactly as [k] single ticks in a row would: identical
+    final step counts, identical raise points relative to observable
+    events, the cancel token checked on every batch and the wall-clock
+    deadline probed exactly at step numbers divisible by 256.  The
+    reference evaluator charges one tick per site and is the executable
+    form of this contract. *)
 
 open Value
 
@@ -23,7 +25,8 @@ exception Sandbox_limit of string
 exception Cancelled of string
 
 (* Control-flow signals, shared so a [break] raised inside a callee
-   propagates identically through both engines' try/finally machinery. *)
+   propagates identically through every evaluator's try/finally
+   machinery. *)
 exception Return_signal of Value.t
 exception Break_signal
 exception Continue_signal
@@ -96,24 +99,13 @@ let retire_ctx ctx =
   if Array.length ctx.vm_stack > Array.length (Domain.DLS.get stack_pool) then
     Domain.DLS.set stack_pool ctx.vm_stack
 
-(* Cancellation rides the existing step-accounting path: the token is a
-   single atomic load per step, and the wall-clock deadline is probed
-   only every 256 steps so a run never pays one clock syscall per
-   interpreted statement. *)
-let tick ctx =
-  ctx.steps <- ctx.steps + 1;
-  if ctx.steps > ctx.config.max_steps then
-    raise (Sandbox_limit "step budget exhausted");
-  (match ctx.cancel with
-   | Some tok when Atomic.get tok -> raise (Cancelled "run cancelled")
-   | _ -> ());
-  match ctx.deadline_ns with
-  | Some d when ctx.steps land 255 = 0 && Telemetry.now_ns () >= d ->
-    raise (Cancelled deadline_message)
-  | _ -> ()
-
-(** Charge [k] ticks at once.  Equivalent to [k] successive {!tick}s
-    with nothing observable between them:
+(** Charge [k] ticks at once.  A single tick adds one step, raises
+    [Sandbox_limit] past [max_steps], raises [Cancelled] when the token
+    has fired, and probes the wall-clock deadline when the step count is
+    a multiple of 256 — the token is one atomic load, and the clock is
+    read only every 256 steps so a run never pays one clock syscall per
+    statement.  [tick_n ctx k] is equivalent to [k] such ticks with
+    nothing observable between them:
     - budget: a batch crossing [max_steps] leaves [steps = max_steps+1]
       and raises, exactly where the [k]-th sequential tick would have;
     - cancel: a fired token raises after the first tick of the batch
@@ -281,7 +273,7 @@ let eval_binop op a b =
           (Printf.sprintf "argument of type %s is not iterable" (type_name b))
     in
     Vbool (if op = Ast.In then mem else not mem)
-  | Ast.And | Ast.Or -> assert false  (* short-circuit, handled per-engine *)
+  | Ast.And | Ast.Or -> assert false  (* short-circuit: the evaluator's job *)
 
 (* ------------------------------------------------------------------ *)
 (* Indexing, slicing, iteration                                        *)
@@ -831,13 +823,12 @@ let file_method o name args =
       (Printf.sprintf "'file' object has no attribute '%s'" name)
 
 (* ------------------------------------------------------------------ *)
-(* Name fallback shared by both engines                                 *)
+(* Name fallback and raise, shared by every evaluator                  *)
 (* ------------------------------------------------------------------ *)
 
 (** Resolve [name] after local and module scope both missed: builtins,
     the [re]/[sys] pseudo-modules, bare [argv], exception-kind
-    constructors — or a [NameError].  The exact chain (and its order)
-    the tree-walker has always used. *)
+    constructors — or a [NameError], in that order. *)
 let lookup_fallback ctx name =
   if List.mem name builtin_names then Vbuiltin name
   else if name = "re" then Vbuiltin "re_module"

@@ -1,12 +1,11 @@
-(** String-method primitives shared between the tree-walking
-    interpreter and the interpreter-free fast path ({!Absint} compiled
-    summaries).
+(** String-method primitives shared between the interpreter ({!Rt},
+    which the bytecode VM dispatches to) and the interpreter-free fast
+    path ({!Absint} compiled summaries).
 
-    These used to be private helpers inside {!Interp}.  They are the
-    single source of truth for MiniScript string semantics: the fast
-    path calls the very same functions the interpreter dispatches to,
-    so the two routes cannot drift (the bench asserts byte-identical
-    verdicts between them).
+    They are the single source of truth for MiniScript string
+    semantics: the fast path calls the very same functions the
+    interpreter dispatches to, so the two routes cannot drift (the
+    bench asserts byte-identical verdicts between them).
 
     Semantics worth restating because both callers rely on them:
     - [string_forall] is Python's: [s.isdigit()] etc. are [false] on

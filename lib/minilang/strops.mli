@@ -1,8 +1,8 @@
-(** String-method primitives shared between the tree-walking
-    interpreter, the bytecode VM and the interpreter-free fast path
+(** String-method primitives shared between the interpreter (the
+    bytecode VM, through {!Rt}) and the interpreter-free fast path
     ({!Absint} compiled summaries).  Single source of truth for
     MiniScript string semantics — the bench asserts byte-identical
-    verdicts between all routes. *)
+    verdicts between the two routes. *)
 
 val strip_chars : string -> string option -> left:bool -> right:bool -> string
 (** [None] strips the four ASCII whitespace characters, like

@@ -1,14 +1,15 @@
 (** Bytecode executor for {!Compile} programs.
 
-    The VM is an exact drop-in for the tree-walking evaluator in
-    {!Interp}: identical {!Trace.event} streams, identical outcomes,
-    identical [ctx.steps] at every observable point (the tick contract
-    documented in {!Absint.Stepbound}), identical error messages —
-    including the tree-walker's own quirks (the call-depth counter
-    leaks on argument-binding errors, [__init__] runs before the
-    [__class__] field is attached, handler binders bypass the [global]
-    flag).  The differential fuzzer in [test/test_vm.ml] and the
-    [make vm-diff] smoke assert this bit-for-bit.
+    The VM is observationally identical to the tree-walking reference
+    evaluator the test suite keeps in [test/oracle] (called "the
+    tree-walker" below): identical {!Trace.event} streams, identical
+    outcomes, identical [ctx.steps] at every observable point (the tick
+    contract documented in {!Rt} and {!Absint.Stepbound}), identical
+    error messages — including the tree-walker's own quirks (the
+    call-depth counter leaks on argument-binding errors, [__init__] runs
+    before the [__class__] field is attached, handler binders bypass
+    the [global] flag).  The differential fuzzer and the corpus parity
+    test in [test/test_vm.ml] assert this bit-for-bit.
 
     Frames live on a single growable value array shared per run
     ([ctx.vm_stack]): a call reserves [nslots + max operand depth]

@@ -49,11 +49,14 @@ type cnode =
 (* Second lowering: a flat backtracking program executed with explicit
    integer stacks.  The CPS matcher over [cnode] allocates a closure
    per node visit (hundreds of words per match on interpreter hot
-   paths); the program form allocates nothing per attempt.  Exploration
-   order is identical by construction — a [RSplit] pushes exactly the
-   alternative the CPS code would try second — so both executors return
-   the same end offset on every input.  Bounded repetitions are
-   unrolled; a pattern whose unrolling would exceed {!max_rprog} keeps
+   paths); the program form allocates nothing per attempt.  The two
+   explore alternatives in the same order — a [RSplit] pushes exactly
+   the alternative the CPS code would try second — and a backtrack
+   restores the whole matcher state the CPS closure would have
+   captured: position, aux depth, and (through undo entries) any aux
+   slot overwritten since.  The test suite checks the two against each
+   other on seeded random patterns.  Bounded repetitions are unrolled;
+   a pattern whose unrolling would exceed {!max_rprog} keeps
    [rprog = None] and takes the CPS path instead. *)
 type rinstr =
   | RChar of char
@@ -481,13 +484,19 @@ type rbufs = { mutable bt : int array; mutable aux : int array }
 let rbufs_key : rbufs Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { bt = Array.make 192 0; aux = Array.make 64 0 })
 
-(* Backtrack entries are (pc, pos, nad) triples.  A negative pc tags a
-   range entry from [RScan]: pc is [-(continuation) - 1], pos is the
+(* Backtrack entries are (pc, pos, nad) triples.  A pc below [-1] tags
+   a range entry from [RScan]: pc is [-(continuation) - 1], pos is the
    next (longest untried) scan end, and the third slot packs the saved
    aux depth with the minimum scan end — retreating reuses the entry in
    place until the minimum is reached.  Positions and aux depths stay
    far below 2^31 in practice (inputs are cell values, depth is bounded
-   by pattern nesting), so the packing never overflows a 63-bit int. *)
+   by pattern nesting), so the packing never overflows a 63-bit int.
+
+   A pc of exactly [-1] is an undo entry (slot, old value): [RPushPos]
+   writes into a slot that [RProgress] popped, which older backtrack
+   entries (saved with a deeper [nad]) may still read, so the write
+   leaves the old value behind and [fail] puts it back on the way
+   down. *)
 let exec_rprog ~fuel (prog : rinstr array) (s : string) (start : int) :
     int option =
   let n = String.length s in
@@ -499,7 +508,7 @@ let exec_rprog ~fuel (prog : rinstr array) (s : string) (start : int) :
   let nad = ref 0 in
   let result = ref (-2) in
   (* -2 = running, -1 = failed *)
-  let fail () =
+  let rec fail () =
     if !nbt = 0 then result := -1
     else begin
       let a = b.bt in
@@ -510,6 +519,11 @@ let exec_rprog ~fuel (prog : rinstr array) (s : string) (start : int) :
         pc := tag;
         pos := Array.unsafe_get a (top + 1);
         nad := Array.unsafe_get a (top + 2)
+      end
+      else if tag = -1 then begin
+        decr nbt;
+        b.aux.(Array.unsafe_get a (top + 1)) <- Array.unsafe_get a (top + 2);
+        fail ()
       end
       else begin
         let cur = Array.unsafe_get a (top + 1) in
@@ -573,6 +587,7 @@ let exec_rprog ~fuel (prog : rinstr array) (s : string) (start : int) :
         Array.blit b.aux 0 bigger 0 !nad;
         b.aux <- bigger
       end;
+      if !nbt > 0 then push_bt (-1) !nad b.aux.(!nad);
       b.aux.(!nad) <- !pos;
       incr nad;
       incr pc
@@ -660,13 +675,14 @@ let exec_prog ~fuel (prog : cnode) (s : string) (start : int) : int option =
 
 (* Engine selection: the flat program when compilation fit under
    [max_rprog], the CPS walker otherwise.  Both explore alternatives in
-   the same order, so results are identical; only fuel accounting
-   differs (per instruction vs per node), and both bound the same
-   pathological searches. *)
+   the same order and return the same end offset; fuel is charged per
+   instruction in one and per node visit in the other, so a search near
+   the bound can run out in one executor and not the other.  Running
+   out of fuel is no match on both paths. *)
 let exec ~fuel (re : t) ~(full : bool) (s : string) (start : int) : int option
     =
   match if full then re.full_rprog else re.rprog with
-  | Some p -> exec_rprog ~fuel p s start
+  | Some p -> (try exec_rprog ~fuel p s start with Out_of_fuel -> None)
   | None -> exec_prog ~fuel (if full then re.full_prog else re.prog) s start
 
 let match_at ?(fuel = default_fuel) (re : t) (s : string) (start : int) :

@@ -1,9 +1,10 @@
 (** Execution driver: run a candidate function on one input string under
     full tracing and sandbox limits (Sections 4.2 and 5.1).
 
-    Each run uses a freshly loaded module scope, so state mutated by a
-    previous execution cannot leak between examples — the equivalent of
-    the paper running each instrumented function in its own process. *)
+    No run can see state a previous run left behind — the equivalent of
+    the paper running each instrumented function in its own process:
+    each run gets a freshly loaded module scope, unless the scope is
+    provably inert and can be reused (see the scope cache below). *)
 
 open Minilang
 
@@ -40,7 +41,29 @@ let rewrite_script_var ~var (prog : Ast.program) : Ast.program =
   in
   { prog with Ast.prog_body = body }
 
-(* --- Loaded-scope reuse (VM engine only) -------------------------- *)
+(* [Script_var] runs execute the rewritten script.  Rewriting once per
+   (parsed program, variable) keeps the rewrite physically the same
+   program on every run, so {!Compile.program}'s identity-keyed cache
+   compiles it once instead of once per run.  Keyed by repo, file and
+   variable, validated by physical identity of the parsed program (a
+   re-parse misses and rewrites again); per-domain like every cache
+   the tracing pool touches. *)
+let script_var_cache :
+    ((string * string * string, Ast.program * Ast.program) Hashtbl.t)
+    Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+
+let script_var_program (repo : Repo.t) ~var (prog : Ast.program) =
+  let tbl = Domain.DLS.get script_var_cache in
+  let key = (repo.Repo.repo_name, prog.Ast.prog_file, var) in
+  match Hashtbl.find_opt tbl key with
+  | Some (parsed, rewritten) when parsed == prog -> rewritten
+  | _ ->
+    let rewritten = rewrite_script_var ~var prog in
+    Hashtbl.replace tbl key (prog, rewritten);
+    rewritten
+
+(* --- Loaded-scope reuse ------------------------------------------- *)
 
 (* Re-loading a module scope on every run keeps state from leaking
    between examples, but for most corpus repositories the loaded scope
@@ -49,9 +72,9 @@ let rewrite_script_var ~var (prog : Ast.program) : Ast.program =
    deeply immutable (so calls can never mutate state reachable from
    it).  Such scopes are safe to reuse across runs — observations are
    identical to a fresh load because nothing a run does is visible in
-   the scope afterwards.  Reuse is gated on the VM engine so
-   [AUTOTYPE_VM=off] remains a true per-run-reload oracle baseline,
-   and script invocations (which execute INTO the scope) always
+   the scope afterwards.  The test suite's reference runner reloads on
+   every run, and the corpus parity test holds cached-scope runs equal
+   to it.  Script invocations (which execute INTO the scope) always
    reload.  Per-domain table: scopes are mutable structures and must
    not be shared across tracing domains. *)
 
@@ -101,7 +124,7 @@ let load_fresh ?(skip_file = "") (repo : Repo.t) : Value.scope option =
     Some scope
 
 let load_scope ?(skip_file = "") (repo : Repo.t) : Value.scope option =
-  if skip_file = "" && Interp.vm_enabled () then begin
+  if skip_file = "" then begin
     (* Consult the cache before even parsing: a hit costs one short
        string hash and a table probe — no parse-cache mutex, no file
        hashing, no program filtering. *)
@@ -203,7 +226,7 @@ let run ?(config = default_config) ?(record_assigns = false) ?cancel
           ~virtual_files:[ ("input.txt", input) ]
           (fun ctx -> call_named ctx scope fname [ Value.Vstr "input.txt" ]))
   | Candidate.Script_var (path, var) ->
-    let prog = rewrite_script_var ~var (find_prog path) in
+    let prog = script_var_program c.Candidate.repo ~var (find_prog path) in
     with_scope ~skip_file:path (fun scope ->
         Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns (fun ctx ->
             Hashtbl.replace scope.Value.vars "__autotype_input__"

@@ -85,6 +85,114 @@ let test_fuel_bound () =
   Alcotest.(check bool) "pathological input returns" false
     (Regexlite.full_match re s)
 
+(* Out of fuel is no match on every entry point, whichever executor the
+   pattern compiles to (this one fits the flat program). *)
+let test_fuel_exhaustion_is_no_match () =
+  let re = Regexlite.parse "(a{1,5}){1,50}b" in
+  let s = String.make 60 'a' in
+  Alcotest.(check bool) "full_match" false (Regexlite.full_match re s);
+  Alcotest.(check (option int)) "match_prefix" None
+    (Regexlite.match_prefix re s);
+  Alcotest.(check (option (pair int int))) "search" None (Regexlite.search re s)
+
+(* A pattern suffix that matches only the empty string on inputs over
+   [a]/[b], and whose unrolling is too long for the flat program, so the
+   padded pattern runs on the CPS executor with unchanged results. *)
+let cps_pad = "(#|%){0,1100}"
+
+(* Cases checked against Python's [re]: a backtrack into an earlier
+   iteration of a loop must see that iteration's start position. *)
+let test_loop_state_on_backtrack () =
+  let check pat s ~full ~prefix =
+    List.iter
+      (fun (route, pat) ->
+        let re = Regexlite.parse pat in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s full_match %S (%s)" pat s route)
+          full (Regexlite.full_match re s);
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s match_prefix %S (%s)" pat s route)
+          prefix (Regexlite.match_prefix re s))
+      [ ("flat", pat); ("cps", pat ^ cps_pad) ]
+  in
+  check "(aa|a)*ab" "aab" ~full:true ~prefix:(Some 3);
+  check "(aa|a)*(b)?((ab|a)*(a|b){2}(aa)*)" "babbaa" ~full:true
+    ~prefix:(Some 5);
+  check "((([ab])?(b)+(b|ab))*(a|b)*)*(a)(ab)?" "baaab" ~full:true
+    ~prefix:(Some 4)
+
+(* Seeded differential: random patterns over [a]/[b] with every
+   quantifier form, each matched by the flat program and (padded) by the
+   CPS executor on random short inputs.  [{m,}] is applied only to
+   bodies that cannot match empty: over a nullable body it loops without
+   a progress guard in both executors until the fuel runs out (a known
+   defect, listed in CHANGES.md), which costs seconds per pattern and
+   never makes the executors disagree.  [node] and [seq] return a
+   pattern and whether it can match empty. *)
+let gen_pattern rng =
+  let pick arr = arr.(Random.State.int rng (Array.length arr)) in
+  let quant body_nullable =
+    match Random.State.int rng 10 with
+    | 0 -> ("*", true)
+    | 1 -> ("+", body_nullable)
+    | 2 -> ("?", true)
+    | 3 ->
+      let m = Random.State.int rng 3 in
+      (Printf.sprintf "{%d}" m, m = 0 || body_nullable)
+    | 4 ->
+      let m = Random.State.int rng 3 in
+      ( Printf.sprintf "{%d,%d}" m (m + Random.State.int rng 3),
+        m = 0 || body_nullable )
+    | 5 when not body_nullable ->
+      let m = Random.State.int rng 3 in
+      (Printf.sprintf "{%d,}" m, m = 0)
+    | _ -> ("", body_nullable)
+  in
+  let rec node depth =
+    let atom, nullable =
+      if depth = 0 || Random.State.int rng 3 > 0 then
+        (pick [| "a"; "b"; "[ab]" |], false)
+      else
+        let alts =
+          List.init (1 + Random.State.int rng 2) (fun _ -> seq (depth - 1))
+        in
+        ( "(" ^ String.concat "|" (List.map fst alts) ^ ")",
+          List.exists snd alts )
+    in
+    let q, nullable = quant nullable in
+    (atom ^ q, nullable)
+  and seq depth =
+    let items = List.init (1 + Random.State.int rng 3) (fun _ -> node depth) in
+    (String.concat "" (List.map fst items), List.for_all snd items)
+  in
+  fst (seq 2)
+
+let test_flat_vs_cps_differential () =
+  let rng = Random.State.make [| 0x5E6; 0x1EC5 |] in
+  let failures = ref [] in
+  for _ = 1 to 3000 do
+    let pat = gen_pattern rng in
+    let flat = Regexlite.parse pat and cps = Regexlite.parse (pat ^ cps_pad) in
+    for _ = 1 to 10 do
+      let s =
+        String.init (Random.State.int rng 7) (fun _ ->
+            if Random.State.bool rng then 'a' else 'b')
+      in
+      let agree f = f flat = f cps in
+      if
+        not
+          (agree (fun re -> Regexlite.full_match re s)
+          && agree (fun re -> Regexlite.match_prefix re s)
+          && agree (fun re -> Regexlite.search re s))
+      then failures := Printf.sprintf "%s on %S" pat s :: !failures
+    done
+  done;
+  match !failures with
+  | [] -> ()
+  | fs ->
+    Alcotest.failf "%d flat/CPS disagreement(s) in 30000 pairs; first: %s"
+      (List.length fs) (List.hd (List.rev fs))
+
 (* Property: a literal string always matches itself once special
    characters are escaped. *)
 let prop_escaped_self_match =
@@ -128,4 +236,8 @@ let suite =
     ("fuel bound", `Quick, test_fuel_bound);
     QCheck_alcotest.to_alcotest prop_escaped_self_match;
     QCheck_alcotest.to_alcotest prop_digit_class;
+    ("fuel exhaustion is no match", `Quick, test_fuel_exhaustion_is_no_match);
+    ("loop state survives backtracking", `Quick, test_loop_state_on_backtrack);
+    ("flat program agrees with the CPS executor", `Quick,
+     test_flat_vs_cps_differential);
   ]

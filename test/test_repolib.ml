@@ -258,6 +258,21 @@ let test_config_with_hint_clamp () =
   Alcotest.(check int) "negative hint clamps to 1" 1
     (max_steps (Repolib.Driver.config_with_hint base (Some (-5))))
 
+let test_regex_fuel_exhaustion () =
+  (* A regex search that runs out of fuel is no match: the run finishes
+     instead of escaping the sandbox with an OCaml exception. *)
+  let src =
+    "def f(value):\n\
+    \    if re.match(\"(a{1,5}){1,50}b\", value):\n\
+    \        return True\n\
+    \    return False\n"
+  in
+  let c = List.hd (candidates_of src) in
+  let r = Repolib.Driver.run_safe c (String.make 60 'a') in
+  match r.Minilang.Interp.outcome with
+  | Minilang.Interp.Finished (Minilang.Value.Vbool false) -> ()
+  | _ -> Alcotest.fail "expected the run to finish with False"
+
 let suite =
   [
     ("variant 1: direct", `Quick, test_variant_direct);
@@ -275,4 +290,5 @@ let suite =
     ("search stemming", `Quick, test_search_stemming);
     ("script argv variant", `Quick, test_script_argv_variant);
     ("budget hint clamped to >= 1", `Quick, test_config_with_hint_clamp);
+    ("regex out of fuel is no match", `Quick, test_regex_fuel_exhaustion);
   ]

@@ -1,27 +1,26 @@
 (** Differential testing of the bytecode VM (lib/minilang/{compile,vm})
-    against the tree-walking oracle (DESIGN.md §14).
+    against the tree-walking oracle (test/oracle, DESIGN.md §14).
 
-    Every program runs twice — [AUTOTYPE_VM] off then on — and the two
-    [run_result]s must be byte-identical: outcome (including error kind
-    and message), the full trace event list, [steps_used] and captured
-    print output.  The corpus is the absint fuzz generator's programs
-    plus an extended pool exercising the VM-specific machinery: slot
-    binding, try/except/finally sub-units, break/continue trampolines,
-    nested defs with defaults, classes, [global], unpacking, and every
-    specialized opcode.  Step-budget sweeps around the exact step count
-    pin the batched tick accounting to the oracle's boundary. *)
+    Every run happens twice — through the oracle's reference runner
+    (tree-walker, fresh scope per run) and through
+    [Repolib.Driver.run_safe] (VM, scope cache, compile cache) — and the
+    two [run_result]s must be byte-identical: outcome (including error
+    kind and message), the full trace event list, [steps_used] and
+    captured print output.  The corpus is the absint fuzz generator's
+    programs plus an extended pool exercising the VM-specific machinery:
+    slot binding, try/except/finally sub-units, break/continue
+    trampolines, nested defs with defaults, classes, [global],
+    unpacking, and every specialized opcode; then every candidate of the
+    four-type pipeline workload on its positives and final negatives,
+    plus one small repository per invocation plan the workload lacks.
+    Step-budget sweeps around the exact step count pin the batched tick
+    accounting to the oracle's boundary. *)
 
 open Minilang
 
-let with_engine on f =
-  let prev = Interp.vm_enabled () in
-  Interp.set_vm_enabled on;
-  Fun.protect ~finally:(fun () -> Interp.set_vm_enabled prev) f
-
 let run_both ?config (c : Repolib.Candidate.t) input =
-  let off = with_engine false (fun () -> Repolib.Driver.run_safe ?config c input) in
-  let on = with_engine true (fun () -> Repolib.Driver.run_safe ?config c input) in
-  (off, on)
+  ( Oracle.Reference.run_safe ?config c input,
+    Repolib.Driver.run_safe ?config c input )
 
 let failures = ref []
 
@@ -35,13 +34,36 @@ let mismatch src input what fmt =
     fmt
 
 let outcome_str = function
-  | Interp.Finished v -> "Finished <" ^ Value.type_name v ^ ">"
+  | Interp.Finished v ->
+    Printf.sprintf "Finished <%s> %s" (Value.type_name v)
+      (Value.to_repr_string v)
   | Interp.Errored (k, m) -> Printf.sprintf "Errored (%s, %s)" k m
   | Interp.Hit_limit m -> "Hit_limit " ^ m
   | Interp.Deadline_exceeded m -> "Deadline " ^ m
 
+(* Structural equality of results that stops at objects, functions and
+   classes — their scopes are cyclic — and compares those by what they
+   print as (class or function name). *)
+let rec same_value (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Vlist x, Value.Vlist y -> List.equal same_value !x !y
+  | Value.Vtuple x, Value.Vtuple y -> List.equal same_value x y
+  | Value.Vdict x, Value.Vdict y ->
+    List.equal
+      (fun (k, v) (k', v') -> same_value k k' && same_value v v')
+      !x !y
+  | (Value.Vobj _ | Value.Vfun _ | Value.Vbound _ | Value.Vclass _), _ ->
+    Value.type_name a = Value.type_name b
+    && Value.to_display_string a = Value.to_display_string b
+  | _ -> compare a b = 0
+
+let same_outcome a b =
+  match (a, b) with
+  | Interp.Finished x, Interp.Finished y -> same_value x y
+  | _ -> a = b
+
 let compare_runs src input (off : Interp.run_result) (on : Interp.run_result) =
-  if off.Interp.outcome <> on.Interp.outcome then
+  if not (same_outcome off.Interp.outcome on.Interp.outcome) then
     mismatch src input "outcome" "oracle=%s vm=%s"
       (outcome_str off.Interp.outcome)
       (outcome_str on.Interp.outcome);
@@ -324,14 +346,8 @@ let test_cancel_parity () =
       Interp.cancel tok;
       tok
     in
-    let off =
-      with_engine false (fun () ->
-          Repolib.Driver.run_safe ~cancel:(fired ()) c "x")
-    in
-    let on =
-      with_engine true (fun () ->
-          Repolib.Driver.run_safe ~cancel:(fired ()) c "x")
-    in
+    let off = Oracle.Reference.run_safe ~cancel:(fired ()) c "x" in
+    let on = Repolib.Driver.run_safe ~cancel:(fired ()) c "x" in
     (* A pre-fired token cancels on the very first charged tick in both
        engines — the batched tick must not overshoot. *)
     Alcotest.(check bool) "both cancelled" true
@@ -349,11 +365,7 @@ let test_deadline_parity () =
   match direct_candidates spin_src with
   | [ c ] ->
     let big = { Interp.max_steps = 50_000_000; max_call_depth = 48 } in
-    let run engine =
-      with_engine engine (fun () ->
-          let deadline_ns = Int64.add (Telemetry.now_ns ()) 2_000_000L in
-          Repolib.Driver.run_safe ~config:big ~deadline_ns c "x")
-    in
+    let deadline_ns () = Int64.add (Telemetry.now_ns ()) 2_000_000L in
     let check_run label (r : Interp.run_result) =
       (match r.Interp.outcome with
        | Interp.Deadline_exceeded _ -> ()
@@ -365,32 +377,206 @@ let test_deadline_parity () =
         0
         (r.Interp.steps_used land 255)
     in
-    check_run "oracle" (run false);
-    check_run "vm" (run true)
+    check_run "oracle"
+      (Oracle.Reference.run_safe ~config:big ~deadline_ns:(deadline_ns ()) c
+         "x");
+    check_run "vm"
+      (Repolib.Driver.run_safe ~config:big ~deadline_ns:(deadline_ns ()) c "x")
   | _ -> Alcotest.fail "spin candidate not found"
 
 (* --------------------------- compile cache ------------------------- *)
 
+let finished (r : Interp.run_result) =
+  match r.Interp.outcome with Interp.Finished _ -> true | _ -> false
+
 let test_compile_cache () =
-  with_engine true (fun () ->
-      let src =
-        "def f(value):\n    return value.strip().isdigit()\n"
+  let src = "def f(value):\n    return value.strip().isdigit()\n" in
+  (match direct_candidates src with
+   | [ c ] ->
+     let r1 = Repolib.Driver.run_safe c "12" in
+     let s1 = Compile.stats () in
+     let r2 = Repolib.Driver.run_safe c "ab " in
+     let s2 = Compile.stats () in
+     Alcotest.(check bool) "first run finished" true (finished r1);
+     Alcotest.(check bool) "second run finished" true (finished r2);
+     Alcotest.(check int) "no recompilation on the second run"
+       s1.Compile.compiles s2.Compile.compiles;
+     Alcotest.(check bool) "second run hit the compile cache" true
+       (s2.Compile.cache_hits > s1.Compile.cache_hits)
+   | _ -> Alcotest.fail "candidate not found");
+  (* A [Script_var] run executes a rewrite of its script; the rewrite
+     must be the same program on every run or each run compiles it. *)
+  let repo =
+    Repolib.Repo.make "vm/script-var" "script variable compile cache"
+      [ { Repolib.Repo.path = "s/check.py";
+          source = "value = \"123\"\nok = value.isdigit()\nprint(ok)\n" } ]
+  in
+  match
+    List.find_opt
+      (fun (c : Repolib.Candidate.t) ->
+        match c.Repolib.Candidate.invocation with
+        | Repolib.Candidate.Script_var _ -> true
+        | _ -> false)
+      (Repolib.Analyzer.candidates_of_repo repo)
+  with
+  | Some c ->
+    let r1 = Repolib.Driver.run_safe c "42" in
+    let s1 = Compile.stats () in
+    let r2 = Repolib.Driver.run_safe c "x7" in
+    let s2 = Compile.stats () in
+    Alcotest.(check (list string)) "first script run read its input"
+      [ "True" ] r1.Interp.printed;
+    Alcotest.(check (list string)) "second script run read its input"
+      [ "False" ] r2.Interp.printed;
+    Alcotest.(check int) "no recompilation on the second script run"
+      s1.Compile.compiles s2.Compile.compiles
+  | None -> Alcotest.fail "script-variable candidate not found"
+
+(* --------------------------- corpus parity ------------------------- *)
+
+(* Every invocation plan, by name.  The match is exhaustive, so a new
+   plan breaks the build here until [all_plans] and the parity corpus
+   cover it. *)
+let plan_name : Repolib.Candidate.invocation -> string = function
+  | Repolib.Candidate.Direct -> "Direct"
+  | Repolib.Candidate.Class_then_method _ -> "Class_then_method"
+  | Repolib.Candidate.Ctor_then_method _ -> "Ctor_then_method"
+  | Repolib.Candidate.Via_argv _ -> "Via_argv"
+  | Repolib.Candidate.Via_stdin _ -> "Via_stdin"
+  | Repolib.Candidate.Via_file _ -> "Via_file"
+  | Repolib.Candidate.Script_var _ -> "Script_var"
+  | Repolib.Candidate.Script_argv _ -> "Script_argv"
+  | Repolib.Candidate.Script_stdin _ -> "Script_stdin"
+  | Repolib.Candidate.Split_call _ -> "Split_call"
+
+let all_plans =
+  List.sort compare
+    [ "Direct"; "Class_then_method"; "Ctor_then_method"; "Via_argv";
+      "Via_stdin"; "Via_file"; "Script_var"; "Script_argv"; "Script_stdin";
+      "Split_call" ]
+
+(* One small repository for each plan the four-type workload lacks,
+   and one whose module state changes on every call, which the driver
+   must reload rather than reuse. *)
+let plan_repos =
+  [ ( "Direct",
+      "SEEN = []\n\
+       calls = 0\n\n\
+       def remember(s):\n\
+      \    global calls\n\
+      \    calls += 1\n\
+      \    SEEN.append(s)\n\
+      \    if calls > 1 or len(SEEN) > 1:\n\
+      \        return False\n\
+      \    return s.isdigit()\n" );
+    ( "Ctor_then_method",
+      "class Card:\n\
+      \    def __init__(self, s):\n\
+      \        self.digits = s.replace(\" \", \"\")\n\n\
+      \    def valid(self):\n\
+      \        if not self.digits.isdigit():\n\
+      \            return False\n\
+      \        total = 0\n\
+      \        for ch in self.digits:\n\
+      \            total += int(ch)\n\
+      \        return total % 10 == 0\n" );
+    ( "Via_argv",
+      "def main():\n\
+      \    arg = argv[1]\n\
+      \    if len(arg) > 3 and arg[0].isdigit():\n\
+      \        return True\n\
+      \    return False\n" );
+    ( "Via_stdin",
+      "def ask():\n\
+      \    line = input(\"value: \")\n\
+      \    parts = line.split(\"-\")\n\
+      \    if len(parts) == 3:\n\
+      \        return True\n\
+      \    return False\n" );
+    ( "Via_file",
+      "def check_file(path):\n\
+      \    f = open(path)\n\
+      \    text = f.read()\n\
+      \    f.close()\n\
+      \    return text.isdigit()\n" );
+    ( "Script_argv",
+      "word = argv[1]\n\
+       count = 0\n\
+       for ch in word:\n\
+      \    if ch.isdigit():\n\
+      \        count += 1\n\
+       if count < 2:\n\
+      \    raise ValueError(\"too few digits\")\n\
+       print(count)\n" ) ]
+
+let plan_inputs =
+  [ "4111 1111 1111 1111"; "4111111111111112"; "12-34-56"; "abc"; ""; "9" ]
+
+(* Every candidate of the four-type pipeline workload, on its positives
+   and the pipeline's final negatives, under the step budget
+   [Pipeline.synthesize] gives it — each run once through the VM with
+   the driver's scope and compile caches, once through the reference
+   runner with a fresh scope — then the synthetic plans above. *)
+let test_corpus_parity () =
+  failures := [];
+  let ran = Hashtbl.create 16 in
+  let n_runs = ref 0 in
+  let compare_all ?config c inputs =
+    Hashtbl.replace ran (plan_name c.Repolib.Candidate.invocation) ();
+    List.iter
+      (fun input ->
+        let off, on = run_both ?config c input in
+        incr n_runs;
+        compare_runs (Repolib.Candidate.describe c) input off on)
+      inputs
+  in
+  let index = Corpus.search_index () in
+  List.iter
+    (fun type_id ->
+      let ty = Semtypes.Registry.find_exn type_id in
+      let query = ty.Semtypes.Registry.name in
+      let positives = Semtypes.Registry.positive_examples ~n:20 ~seed:11 ty in
+      let outcome =
+        Autotype_core.Pipeline.synthesize ~index ~query ~positives ()
       in
-      match direct_candidates src with
-      | [ c ] ->
-        let r1 = Repolib.Driver.run_safe c "12" in
-        let s1 = Compile.stats () in
-        let r2 = Repolib.Driver.run_safe c "ab " in
-        let s2 = Compile.stats () in
-        Alcotest.(check bool) "first run finished" true
-          (match r1.Interp.outcome with Interp.Finished _ -> true | _ -> false);
-        Alcotest.(check bool) "second run finished" true
-          (match r2.Interp.outcome with Interp.Finished _ -> true | _ -> false);
-        Alcotest.(check int) "no recompilation on the second run"
-          s1.Compile.compiles s2.Compile.compiles;
-        Alcotest.(check bool) "second run hit the compile cache" true
-          (s2.Compile.cache_hits > s1.Compile.cache_hits)
-      | _ -> Alcotest.fail "candidate not found")
+      let inputs = positives @ outcome.Autotype_core.Pipeline.negatives in
+      let input_len =
+        List.fold_left (fun acc s -> max acc (String.length s)) 0 inputs
+      in
+      let candidates, _ =
+        Autotype_core.Pipeline.gather_candidates ~index
+          ~config:Autotype_core.Pipeline.default_config ~query
+          ~probe:(List.hd positives) ()
+      in
+      List.iter
+        (fun c ->
+          compare_all ~config:(Repolib.Driver.config_for ~input_len c) c inputs)
+        candidates)
+    [ "credit-card"; "ipv4"; "email"; "isbn" ];
+  List.iter
+    (fun (plan, source) ->
+      let repo =
+        Repolib.Repo.make ("vm-plans/" ^ plan) ("invocation plan " ^ plan)
+          [ { Repolib.Repo.path = "p/main.py"; source } ]
+      in
+      match
+        List.filter
+          (fun (c : Repolib.Candidate.t) ->
+            plan_name c.Repolib.Candidate.invocation = plan)
+          (Repolib.Analyzer.candidates_of_repo repo)
+      with
+      | [] -> Alcotest.failf "no %s candidate extracted" plan
+      | cs -> List.iter (fun c -> compare_all c plan_inputs) cs)
+    plan_repos;
+  (match !failures with
+   | [] -> ()
+   | fs ->
+     Alcotest.failf "%d divergence(s) over %d runs; first:\n%s"
+       (List.length fs) !n_runs
+       (List.hd (List.rev fs)));
+  Alcotest.(check bool) "ran the whole workload" true (!n_runs >= 50_000);
+  Alcotest.(check (list string)) "every invocation plan ran" all_plans
+    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) ran []))
 
 let suite =
   [ Alcotest.test_case "engines agree on 500 fuzzed programs" `Slow
@@ -402,4 +588,6 @@ let suite =
     Alcotest.test_case "wall-clock deadline observes the 256-step cadence"
       `Quick test_deadline_parity;
     Alcotest.test_case "compiled programs are cached per candidate" `Quick
-      test_compile_cache ]
+      test_compile_cache;
+    Alcotest.test_case "corpus workload and every plan match the oracle" `Slow
+      test_corpus_parity ]
