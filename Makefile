@@ -1,4 +1,4 @@
-.PHONY: all build test lint absint models faults serve-smoke bench-smoke check bench bench-compare clean
+.PHONY: all build test lint absint regex-diff models faults serve-smoke bench-smoke check bench bench-compare clean
 
 all: build
 
@@ -24,6 +24,15 @@ absint: build
 	@grep -q '"step_bound":"steps <=' $(ABSINT_OUT) || { echo "absint: step bound missing"; exit 1; }
 	@grep -q '"tree_nodes":' $(ABSINT_OUT) || { echo "absint: summary missing"; exit 1; }
 	@echo "absint: OK"
+
+# Regexlite against CPython's `re` (DESIGN.md §14): 40,000 seeded
+# (pattern, input) pairs over a/b with every quantifier over every body;
+# compares the match end, fullmatch and search span, prints the pairs it
+# leaves out (CPython over 0.2 s, library answer fuel-sensitive) and
+# fails on any other disagreement.  Needs python3, so it runs here and
+# not in `dune runtest`.
+regex-diff: build
+	python3 test/regex_diff/regex_diff.py _build/default/test/regex_diff/regex_diff.exe
 
 # Rewrite the committed bench artifacts in canonical form: sorted keys,
 # fixed float formatting, one trailing newline.  Timings vary run to
@@ -109,12 +118,12 @@ bench-smoke: build
 	python3 autobench/test/smoke.py
 
 # Full gate: build, test suites (the VM's parity with the tree-walking
-# reference evaluator runs there, DESIGN.md §14), the compile/serve
-# smoke, the fault-injection smoke, the daemon smoke, the benchmark
+# reference evaluator runs there, DESIGN.md §14), the CPython regex
+# differential, the compile/serve smoke, the fault-injection smoke, the daemon smoke, the benchmark
 # smoke, and the observability paths (CLI --stats and the
 # machine-readable bench JSON).  Opt into the parallel-determinism gate
 # with BENCH=1.
-check: build test lint absint models faults serve-smoke bench-smoke $(if $(BENCH),bench-compare)
+check: build test lint absint regex-diff models faults serve-smoke bench-smoke $(if $(BENCH),bench-compare)
 	dune exec bin/autotype_cli.exe -- synth --type credit-card --stats
 	dune exec bench/main.exe -- pipeline
 	@test -s BENCH_pipeline.json || { echo "BENCH_pipeline.json missing or empty"; exit 1; }

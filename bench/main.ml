@@ -717,8 +717,10 @@ type serve_stats = {
   sv_sketch_p95_ms : float;
   sv_sketch_p99_ms : float;
   sv_sketch_ok : bool;  (** sketch within 5% of nearest-rank *)
-  sv_p99_flight_off_ms : float;  (** warm p99 with the recorder disabled *)
-  sv_p99_flight_on_ms : float;  (** warm p99 with the recorder always-on *)
+  sv_p99_flight_off_ms : float;
+      (** median warm p99 of five replays with the recorder disabled *)
+  sv_p99_flight_on_ms : float;
+      (** median warm p99 of five replays with the recorder always-on *)
   sv_flight_ok : bool;  (** recorder overhead under the 10% budget *)
   sv_slo : Telemetry.Slo.report;
   sv_warm_snapshot_json : string;  (** Expose.render_json of the warm pass *)
@@ -853,8 +855,8 @@ let serve_pass type_ids =
   let lat_p50 = percentile 50.0 lat in
   let lat_p95 = percentile 95.0 lat in
   let lat_p99 = percentile 99.0 lat in
-  (* Flight-recorder overhead: replay the warm workload twice under
-     request contexts — recorder off, then on.  The always-on ring must
+  (* Flight-recorder overhead: replay the warm workload under request
+     contexts with the recorder off and on.  The always-on ring must
      cost < 10% of warm p99 (plus a small absolute slack so a machine
      hiccup at the 20us scale cannot fail the build by itself). *)
   let timed_warm_p99 () =
@@ -888,14 +890,27 @@ let serve_pass type_ids =
     Telemetry.disable ();
     percentile 99.0 (Array.of_list !lats)
   in
-  (* Best of three replays per mode: at the 20us scale a single
-     scheduler hiccup is bigger than the effect being measured, and the
-     recorder's true cost is a lower bound across repeats. *)
-  let min_of_3 f = Float.min (f ()) (Float.min (f ()) (f ())) in
-  Telemetry.Flight.set_enabled false;
-  let p99_off = min_of_3 timed_warm_p99 in
+  (* Five off/on pairs, alternating which side runs first, compared by
+     their medians: at the 20us scale a slow spell of the host is bigger
+     than the effect being measured, and interleaving spreads it over
+     both sides instead of charging it to whichever block it hit. *)
+  let replay on =
+    Telemetry.Flight.set_enabled on;
+    timed_warm_p99 ()
+  in
+  let pairs =
+    List.init 5 (fun i ->
+        if i mod 2 = 0 then
+          let off = replay false in
+          (off, replay true)
+        else
+          let on = replay true in
+          (replay false, on))
+  in
   Telemetry.Flight.set_enabled true;
-  let p99_on = min_of_3 timed_warm_p99 in
+  let median xs = percentile 50.0 (Array.of_list xs) in
+  let p99_off = median (List.map fst pairs) in
+  let p99_on = median (List.map snd pairs) in
   (* Route comparison: replay the workload value-by-value through the
      compiled summary and through the interpreter, off the telemetry
      clock.  The two routes must return byte-identical verdicts (the

@@ -56,11 +56,12 @@ let m_pruned = Telemetry.counter "pipeline.candidates_pruned"
     and duplicate negatives are served from the cache instead of
     re-executing.
 
-    Domain safety: the outer per-candidate table is mutex-guarded; each
-    inner table is only ever touched by the one domain currently tracing
-    that candidate (the execution engine parallelizes across candidates,
-    and strategy attempts are sequential), so lookups on the hot path
-    are lock-free. *)
+    Domain safety: the outer per-candidate table is mutex-guarded and
+    keyed by {!Repolib.Candidate.key}, so two plans of one function get
+    two inner tables; each inner table is only ever touched by the one
+    domain currently tracing that candidate (the execution engine
+    parallelizes across candidates, and strategy attempts are
+    sequential), so lookups on the hot path are lock-free. *)
 type cache = {
   lock : Mutex.t;
   per_candidate :
@@ -71,14 +72,14 @@ let cache_create () =
   { lock = Mutex.create (); per_candidate = Hashtbl.create 64 }
 
 let cache_sub cache (c : Repolib.Candidate.t) =
-  let id = Repolib.Candidate.id c in
+  let key = Repolib.Candidate.key c in
   Mutex.lock cache.lock;
   let sub =
-    match Hashtbl.find_opt cache.per_candidate id with
+    match Hashtbl.find_opt cache.per_candidate key with
     | Some sub -> sub
     | None ->
       let sub = Hashtbl.create 64 in
-      Hashtbl.add cache.per_candidate id sub;
+      Hashtbl.add cache.per_candidate key sub;
       sub
   in
   Mutex.unlock cache.lock;

@@ -164,7 +164,8 @@ let run_type ?(config = default_config) ?query ?positives ?held_out
       let c = r.Autotype_core.Ranking.traced.Autotype_core.Ranking.candidate in
       let key = Repolib.Candidate.id c in
       let cache_key =
-        key ^ "|" ^ Autotype_core.Dnf.to_string r.Autotype_core.Ranking.dnf
+        Repolib.Candidate.key c ^ "|"
+        ^ Autotype_core.Dnf.to_string r.Autotype_core.Ranking.dnf
       in
       let q =
         match Hashtbl.find_opt q_cache cache_key with

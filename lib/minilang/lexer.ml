@@ -131,7 +131,9 @@ let tokenize ~file:_ (src : string) : loc_token list =
     end
     else begin
       let s = String.sub src start (!i - start) in
-      emit (INT (int_of_string s)) start_line
+      match int_of_string_opt s with
+      | Some v -> emit (INT v) start_line
+      | None -> raise (Lex_error ("integer literal too large", start_line))
     end
   in
   let handle_indentation () =

@@ -11,78 +11,65 @@
 
     Used both by MiniScript's [re_match]/[re_search] builtins (mined code
     frequently validates with regexes, Section 8.2.2) and by the REGEX
-    baseline of Section 9. *)
+    baseline of Section 9, so it must answer as CPython's [re] does:
+    repetition follows CPython's [MAX_UNTIL] rule (see {!rinstr}). *)
 
 type node =
   | Lit of char
   | Any
   | Class of (char * char) list * bool  (** ranges, negated? *)
-  | Star of node * bool  (** greedy flag reserved; always greedy here *)
-  | Plus of node
-  | Opt of node
-  | Repeat of node * int * int option  (** {m,n}; None = unbounded *)
+  | Repeat of node * int * int option
+      (** [{m,n}]; [None] = unbounded.  [*] [+] [?] parse to [{0,}]
+          [{1,}] [{0,1}] *)
   | Seq of node list
   | Alt of node list
-  | Group of node
   | Bol
   | Eol
 
 exception Parse_error of string
 
-(* Compiled form: the matcher never walks the surface AST.  Character
-   classes become 256-byte membership tables (negation folded in), [+]
-   is expanded to [g g*], and [Group] wrappers vanish — each saves
-   per-character work or a per-visit allocation in the backtracking
-   inner loop. *)
-type cnode =
-  | CLit of char
-  | CAny
-  | CClass of Bytes.t  (** 256-entry membership table *)
-  | CStar of cnode
-  | COpt of cnode
-  | CRepeat of cnode * int * int option
-  | CSeq of cnode array
-  | CAlt of cnode array
-  | CBol
-  | CEol
+(* CPython rejects a repeat count at or above [MAXREPEAT] (2^32 - 1). *)
+let max_count = 4_294_967_294
 
-(* Second lowering: a flat backtracking program executed with explicit
-   integer stacks.  The CPS matcher over [cnode] allocates a closure
-   per node visit (hundreds of words per match on interpreter hot
-   paths); the program form allocates nothing per attempt.  The two
-   explore alternatives in the same order — a [RSplit] pushes exactly
-   the alternative the CPS code would try second — and a backtrack
-   restores the whole matcher state the CPS closure would have
-   captured: position, aux depth, and (through undo entries) any aux
-   slot overwritten since.  The test suite checks the two against each
-   other on seeded random patterns.  Bounded repetitions are unrolled;
-   a pattern whose unrolling would exceed {!max_rprog} keeps
-   [rprog = None] and takes the CPS path instead. *)
+(* The pattern lowers to a flat backtracking program executed with
+   explicit integer stacks, so a match attempt allocates nothing.  A
+   backtrack restores the whole matcher state: position, aux depth, and
+   (through undo entries) any aux slot overwritten since.
+
+   Repetition over a multi-character body is one loop: [RLoop] pushes
+   a frame of two aux slots (iterations started, and where the last
+   optional iteration started), [RTest] runs before every iteration,
+   then come one copy of the body and a jump back to the test.  The
+   test is CPython's [MAX_UNTIL] rule: a mandatory iteration (fewer
+   than [lo] done) always runs; an optional one runs first and leaves
+   the exit as the backtrack point, but never starts at the position
+   where the previous optional iteration started, which is what stops
+   a nullable body from looping.  Repetition over one
+   character is a single [RScan].  No instruction count depends on a
+   repeat count. *)
 type rinstr =
   | RChar of char
-  | RClass of Bytes.t
+  | RClass of Bytes.t  (** 256-entry membership table *)
   | RAny
   | RBol
   | REol
   | RSplit of int * int  (** try first, push second as backtrack point *)
   | RJmp of int
-  | RPushPos  (** push current position onto the aux stack *)
-  | RProgress  (** pop aux; fail unless the position advanced past it *)
-  | RScan of Bytes.t * int
-      (** greedy star/repeat over a single character class: consume up
-          to [max] class characters ([-1] = unbounded) in a tight loop,
-          leaving one range-backtrack entry that retreats a character at
-          a time — same exploration order as the unrolled splits, a
-          fraction of the dispatch *)
-  | RAccept
+  | RScan of Bytes.t * int * int
+      (** greedy repeat [{min,max}] ([max = -1]: unbounded) over one
+          character class: consume up to [max] class characters in a
+          tight loop, fail below [min], and leave one range-backtrack
+          entry that retreats a character at a time down to [min] *)
+  | RLoop  (** push a loop frame: no iterations, no optional start *)
+  | RTest of int * int * int
+      (** [lo], [hi] ([-1]: unbounded), exit pc: start the next
+          iteration, or pop the frame and leave *)
+  | RAccept  (** succeed; under [full] only at the end of the input *)
 
 type t = {
   ast : node;
   source : string;
-  prog : cnode;
-  full_prog : cnode;  (** [prog] with [$] appended, for {!full_match} *)
-  rprog : rinstr array option;
-  full_rprog : rinstr array option;
+  program : rinstr array;
   first : Bytes.t option;
       (** characters a match can start with; [None] when the pattern is
           nullable (can match the empty string), in which case no start
@@ -181,11 +168,14 @@ let rec parse (pattern : string) : t =
   in
   let parse_int () =
     let start = !pos in
+    let v = ref 0 in
     while (match peek () with Some c when c >= '0' && c <= '9' -> true | _ -> false) do
+      v := (10 * !v) + Char.code pattern.[!pos] - Char.code '0';
+      if !v > max_count then raise (Parse_error "repetition count too large");
       advance ()
     done;
     if !pos = start then raise (Parse_error "expected number in repetition");
-    int_of_string (String.sub pattern start (!pos - start))
+    !v
   in
   let rec parse_alt () =
     let first = parse_seq () in
@@ -212,9 +202,9 @@ let rec parse (pattern : string) : t =
     let atom = parse_atom () in
     let rec apply atom =
       match peek () with
-      | Some '*' -> advance (); apply (Star (atom, true))
-      | Some '+' -> advance (); apply (Plus atom)
-      | Some '?' -> advance (); apply (Opt atom)
+      | Some '*' -> advance (); apply (Repeat (atom, 0, None))
+      | Some '+' -> advance (); apply (Repeat (atom, 1, None))
+      | Some '?' -> advance (); apply (Repeat (atom, 0, Some 1))
       | Some '{' ->
         advance ();
         let m = parse_int () in
@@ -247,7 +237,7 @@ let rec parse (pattern : string) : t =
       end;
       let inner = parse_alt () in
       eat ')';
-      Group inner
+      inner
     | Some '[' -> parse_class ()
     | Some '\\' -> parse_escape ()
     | Some '.' -> advance (); Any
@@ -261,102 +251,67 @@ let rec parse (pattern : string) : t =
   if !pos <> n then raise (Parse_error "trailing characters in pattern");
   compile ast pattern
 
+(* Character classes become 256-byte membership tables, negation
+   folded in. *)
+and class_table ranges negated =
+  let tbl = Bytes.make 256 (if negated then '\001' else '\000') in
+  let mark = if negated then '\000' else '\001' in
+  List.iter
+    (fun (lo, hi) ->
+      for c = Char.code lo to Char.code hi do
+        Bytes.set tbl c mark
+      done)
+    ranges;
+  tbl
+
 and compile ast pattern =
-  let rec cn (node : node) : cnode =
-    match node with
-    | Lit c -> CLit c
-    | Any -> CAny
-    | Class (ranges, negated) ->
-      let tbl = Bytes.make 256 (if negated then '\001' else '\000') in
-      let mark = if negated then '\000' else '\001' in
-      List.iter
-        (fun (lo, hi) ->
-          for c = Char.code lo to Char.code hi do
-            Bytes.set tbl c mark
-          done)
-        ranges;
-      CClass tbl
-    | Star (g, _) -> CStar (cn g)
-    | Plus g ->
-      let cg = cn g in
-      CSeq [| cg; CStar cg |]
-    | Opt g -> COpt (cn g)
-    | Repeat (g, lo, hi) -> CRepeat (cn g, lo, hi)
-    | Seq items -> CSeq (Array.of_list (List.map cn items))
-    | Alt alts -> CAlt (Array.of_list (List.map cn alts))
-    | Group g -> cn g
-    | Bol -> CBol
-    | Eol -> CEol
-  in
-  let prog = cn ast in
   (* First-set and nullability, for the search skip loop.  [first_of]
      returns whether the node can match without consuming; along the
      way it marks every character that could be the first one consumed. *)
   let rec first_of node (tbl : Bytes.t) : bool =
     match node with
-    | CLit c ->
+    | Lit c ->
       Bytes.set tbl (Char.code c) '\001';
       false
-    | CAny ->
+    | Any ->
       Bytes.fill tbl 0 256 '\001';
       false
-    | CClass cls ->
+    | Class (ranges, negated) ->
+      let cls = class_table ranges negated in
       for c = 0 to 255 do
         if Bytes.unsafe_get cls c <> '\000' then Bytes.set tbl c '\001'
       done;
       false
-    | CBol | CEol -> true
-    | CSeq arr ->
-      let len = Array.length arr in
-      let rec go i = i = len || (first_of arr.(i) tbl && go (i + 1)) in
-      go 0
-    | CAlt arr ->
-      Array.fold_left
-        (fun nullable a ->
-          let nb = first_of a tbl in
-          nullable || nb)
-        false arr
-    | CStar g | COpt g ->
-      ignore (first_of g tbl : bool);
-      true
-    | CRepeat (g, lo, _) ->
-      let nb = first_of g tbl in
-      nb || lo = 0
+    | Bol | Eol -> true
+    | Seq items -> List.for_all (fun g -> first_of g tbl) items
+    | Alt alts ->
+      List.fold_left (fun nullable a -> first_of a tbl || nullable) false alts
+    | Repeat (g, lo, _) -> first_of g tbl || lo = 0
   in
   let tbl = Bytes.make 256 '\000' in
-  let nullable = first_of prog tbl in
+  let nullable = first_of ast tbl in
   (* Leading-[^] detection: a pattern whose every alternative starts
      with [^] can only ever match at offset 0, so [search] needs a
      single attempt.  Conservative: [false] just means no shortcut. *)
   let rec leading_bol = function
-    | CBol -> true
-    | CSeq arr -> Array.length arr > 0 && leading_bol arr.(0)
-    | CAlt arr -> Array.length arr > 0 && Array.for_all leading_bol arr
-    | CRepeat (g, lo, _) -> lo > 0 && leading_bol g
+    | Bol -> true
+    | Seq (g :: _) -> leading_bol g
+    | Alt (_ :: _ as alts) -> List.for_all leading_bol alts
+    | Repeat (g, lo, _) -> lo > 0 && leading_bol g
     | _ -> false
   in
-  let full_prog = CSeq [| prog; CEol |] in
   {
     ast;
     source = pattern;
-    prog;
-    full_prog;
-    rprog = compile_rprog prog;
-    full_rprog = compile_rprog full_prog;
+    program = lower ast;
     first = (if nullable then None else Some tbl);
-    anchored = leading_bol prog;
+    anchored = leading_bol ast;
   }
 
-(* Lower a [cnode] to a flat program, or [None] when unrolling bounded
-   repetitions would exceed [max_rprog] instructions (the CPS executor
-   handles those without duplication). *)
-and max_rprog = 4096
-
-and compile_rprog (prog : cnode) : rinstr array option =
+and lower (ast : node) : rinstr array =
   let buf = ref (Array.make 64 RAccept) in
   let len = ref 0 in
   let emit i =
-    if !len >= max_rprog then raise Exit;
     if !len = Array.length !buf then begin
       let bigger = Array.make (2 * !len) RAccept in
       Array.blit !buf 0 bigger 0 !len;
@@ -367,106 +322,57 @@ and compile_rprog (prog : cnode) : rinstr array option =
     !len - 1
   in
   let patch idx i = !buf.(idx) <- i in
-  (* Single-character bodies (the dominant shape in mined detectors:
-     [\d+], [[a-z0-9]{2,5}], [.*]) compile their repetition to [RScan]
-     instead of an unrolled split loop.  Each iteration consumes exactly
-     one character, so the progress guard is vacuous and greedy
-     max-then-retreat order is the splits' order exactly. *)
   let scan_tbl = function
-    | CClass t -> Some t
-    | CLit c ->
+    | Class (ranges, negated) -> Some (class_table ranges negated)
+    | Lit c ->
       let t = Bytes.make 256 '\000' in
       Bytes.set t (Char.code c) '\001';
       Some t
-    | CAny -> Some (Bytes.make 256 '\001')
+    | Any -> Some (Bytes.make 256 '\001')
     | _ -> None
   in
   let rec go node =
     match node with
-    | CLit c -> ignore (emit (RChar c))
-    | CClass t -> ignore (emit (RClass t))
-    | CAny -> ignore (emit RAny)
-    | CBol -> ignore (emit RBol)
-    | CEol -> ignore (emit REol)
-    | CSeq arr -> Array.iter go arr
-    | CAlt arr ->
-      let k = Array.length arr in
-      let jmps = ref [] in
-      Array.iteri
-        (fun idx a ->
-          if idx < k - 1 then begin
-            let sp = emit (RSplit (0, 0)) in
-            go a;
-            jmps := emit (RJmp 0) :: !jmps;
-            patch sp (RSplit (sp + 1, !len))
-          end
-          else go a)
-        arr;
-      List.iter (fun j -> patch j (RJmp !len)) !jmps
-    | COpt g -> (
+    | Lit c -> ignore (emit (RChar c))
+    | Class (ranges, negated) -> ignore (emit (RClass (class_table ranges negated)))
+    | Any -> ignore (emit RAny)
+    | Bol -> ignore (emit RBol)
+    | Eol -> ignore (emit REol)
+    | Seq items -> List.iter go items
+    | Alt alts ->
+      let rec alt = function
+        | [] -> []
+        | [ a ] -> go a; []
+        | a :: rest ->
+          let sp = emit (RSplit (0, 0)) in
+          go a;
+          let j = emit (RJmp 0) in
+          patch sp (RSplit (sp + 1, !len));
+          j :: alt rest
+      in
+      List.iter (fun j -> patch j (RJmp !len)) (alt alts)
+    | Repeat (g, lo, hi) -> (
+      let hi = Option.value hi ~default:(-1) in
       match scan_tbl g with
-      | Some tbl -> ignore (emit (RScan (tbl, 1)))
-      | None ->
+      | Some tbl -> ignore (emit (RScan (tbl, lo, hi)))
+      | None when lo = 0 && hi = 1 ->
+        (* One optional iteration: the last-start rule cannot apply. *)
         let sp = emit (RSplit (0, 0)) in
         go g;
-        patch sp (RSplit (sp + 1, !len)))
-    | CStar g -> (
-      match scan_tbl g with
-      | Some tbl -> ignore (emit (RScan (tbl, -1)))
+        patch sp (RSplit (sp + 1, !len))
       | None ->
-        (* Greedy loop; each iteration must consume, mirroring the CPS
-           [j > i] guard. *)
-        let l0 = emit (RSplit (0, 0)) in
-        ignore (emit RPushPos);
+        ignore (emit RLoop);
+        let test = emit (RTest (0, 0, 0)) in
         go g;
-        ignore (emit RProgress);
-        ignore (emit (RJmp l0));
-        patch l0 (RSplit (l0 + 1, !len)))
-    | CRepeat (g, lo, hi) -> (
-      match scan_tbl g with
-      | Some tbl -> (
-        for _ = 1 to lo do
-          go g
-        done;
-        match hi with
-        | None -> ignore (emit (RScan (tbl, -1)))
-        | Some h -> if h > lo then ignore (emit (RScan (tbl, h - lo))))
-      | None ->
-        (* The CPS guard is [j > i || count + 1 >= lo]: every mandatory
-           iteration but the last must consume; optional iterations may
-           match empty (an unbounded tail then spins down the fuel, same
-           as the CPS executor). *)
-        for count = 0 to lo - 1 do
-          if count + 1 < lo then begin
-            ignore (emit RPushPos);
-            go g;
-            ignore (emit RProgress)
-          end
-          else go g
-        done;
-        (match hi with
-         | Some h ->
-           let sps = ref [] in
-           for _ = lo to h - 1 do
-             sps := emit (RSplit (0, 0)) :: !sps;
-             go g
-           done;
-           List.iter (fun sp -> patch sp (RSplit (sp + 1, !len))) !sps
-         | None ->
-           let l0 = emit (RSplit (0, 0)) in
-           go g;
-           ignore (emit (RJmp l0));
-           patch l0 (RSplit (l0 + 1, !len))))
+        ignore (emit (RJmp test));
+        patch test (RTest (lo, hi, !len)))
   in
-  match
-    go prog;
-    ignore (emit RAccept)
-  with
-  | () -> Some (Array.sub !buf 0 !len)
-  | exception Exit -> None
+  go ast;
+  ignore (emit RAccept);
+  Array.sub !buf 0 !len
 
 (* ------------------------------------------------------------------ *)
-(* Matcher: CPS backtracking with a fuel bound to avoid pathological    *)
+(* Matcher: explicit-stack backtracking with a fuel bound to avoid      *)
 (* blow-ups on adversarial corpus patterns (sandboxing concern).        *)
 (* ------------------------------------------------------------------ *)
 
@@ -474,11 +380,10 @@ exception Out_of_fuel
 
 let default_fuel = 2_000_000
 
-(* Per-domain scratch for the program executor: backtrack entries are
-   (pc, pos, aux-depth) triples in one int array, [aux] holds the
-   positions [RPushPos] saved.  Reused across calls; grown copies are
-   kept.  The executor is not re-entrant, and never needs to be — a
-   match runs no user code. *)
+(* Per-domain scratch: backtrack entries are (pc, pos, aux-depth)
+   triples in one int array, [aux] holds the loop frames.  Reused
+   across calls; grown copies are kept.  The executor is not
+   re-entrant, and never needs to be — a match runs no user code. *)
 type rbufs = { mutable bt : int array; mutable aux : int array }
 
 let rbufs_key : rbufs Domain.DLS.key =
@@ -492,12 +397,12 @@ let rbufs_key : rbufs Domain.DLS.key =
    far below 2^31 in practice (inputs are cell values, depth is bounded
    by pattern nesting), so the packing never overflows a 63-bit int.
 
-   A pc of exactly [-1] is an undo entry (slot, old value): [RPushPos]
-   writes into a slot that [RProgress] popped, which older backtrack
-   entries (saved with a deeper [nad]) may still read, so the write
-   leaves the old value behind and [fail] puts it back on the way
-   down. *)
-let exec_rprog ~fuel (prog : rinstr array) (s : string) (start : int) :
+   A pc of exactly [-1] is an undo entry (slot, old value): a loop
+   frame is written in place, and older backtrack entries (a choice
+   inside an earlier iteration, or inside a loop whose frame was popped
+   and whose slots were reused) may still read the old value, so a
+   write leaves it behind and [fail] puts it back on the way down. *)
+let exec ~fuel (prog : rinstr array) ~full (s : string) (start : int) :
     int option =
   let n = String.length s in
   let b = Domain.DLS.get rbufs_key in
@@ -550,6 +455,15 @@ let exec_rprog ~fuel (prog : rinstr array) (s : string) (start : int) :
     Array.unsafe_set a (top + 2) third;
     incr nbt
   in
+  let set_aux slot v =
+    if slot = Array.length b.aux then begin
+      let bigger = Array.make (2 * slot) 0 in
+      Array.blit b.aux 0 bigger 0 slot;
+      b.aux <- bigger
+    end;
+    if !nbt > 0 then push_bt (-1) slot b.aux.(slot);
+    b.aux.(slot) <- v
+  in
   while !result = -2 do
     decr fuel;
     if !fuel <= 0 then raise Out_of_fuel;
@@ -581,28 +495,9 @@ let exec_rprog ~fuel (prog : rinstr array) (s : string) (start : int) :
       push_bt second !pos !nad;
       pc := first
     | RJmp t -> pc := t
-    | RPushPos ->
-      if !nad = Array.length b.aux then begin
-        let bigger = Array.make (2 * !nad) 0 in
-        Array.blit b.aux 0 bigger 0 !nad;
-        b.aux <- bigger
-      end;
-      if !nbt > 0 then push_bt (-1) !nad b.aux.(!nad);
-      b.aux.(!nad) <- !pos;
-      incr nad;
-      incr pc
-    | RProgress ->
-      decr nad;
-      if !pos > b.aux.(!nad) then incr pc else fail ()
-    | RScan (tbl, max) ->
+    | RScan (tbl, min, max) ->
       let lo = !pos in
-      let limit =
-        if max < 0 then n
-        else begin
-          let l = lo + max in
-          if l > n then n else l
-        end
-      in
+      let limit = if max < 0 || lo + max > n then n else lo + max in
       let j = ref lo in
       while
         !j < limit
@@ -612,94 +507,55 @@ let exec_rprog ~fuel (prog : rinstr array) (s : string) (start : int) :
       done;
       fuel := !fuel - (!j - lo);
       if !fuel <= 0 then raise Out_of_fuel;
-      if !j > lo then
-        push_bt (-(!pc + 1) - 1) (!j - 1) ((!nad lsl 31) lor lo);
-      pos := !j;
+      let floor = lo + min in
+      if !j < floor then fail ()
+      else begin
+        if !j > floor then
+          push_bt (-(!pc + 1) - 1) (!j - 1) ((!nad lsl 31) lor floor);
+        pos := !j;
+        incr pc
+      end
+    | RLoop ->
+      set_aux !nad 0;
+      set_aux (!nad + 1) (-1);
+      nad := !nad + 2;
       incr pc
-    | RAccept -> result := !pos
+    | RTest (lo, hi, exit) ->
+      let count = b.aux.(!nad - 2) in
+      if
+        count < lo
+        || ((hi < 0 || count < hi) && !pos <> b.aux.(!nad - 1))
+      then begin
+        if count >= lo then begin
+          push_bt exit !pos (!nad - 2);
+          set_aux (!nad - 1) !pos
+        end;
+        set_aux (!nad - 2) (count + 1);
+        incr pc
+      end
+      else begin
+        nad := !nad - 2;
+        pc := exit
+      end
+    | RAccept -> if full && !pos <> n then fail () else result := !pos
   done;
   if !result >= 0 then Some !result else None
 
-let exec_prog ~fuel (prog : cnode) (s : string) (start : int) : int option =
-  let n = String.length s in
-  let fuel = ref fuel in
-  let result = ref 0 in
-  (* k: int -> bool receives the position after the node matched. *)
-  let rec m node i (k : int -> bool) : bool =
-    decr fuel;
-    if !fuel <= 0 then raise Out_of_fuel;
-    match node with
-    | CLit c -> i < n && String.unsafe_get s i = c && k (i + 1)
-    | CAny -> i < n && k (i + 1)
-    | CClass tbl ->
-      i < n
-      && Bytes.unsafe_get tbl (Char.code (String.unsafe_get s i)) <> '\000'
-      && k (i + 1)
-    | CBol -> i = 0 && k i
-    | CEol -> i = n && k i
-    | CSeq arr ->
-      let len = Array.length arr in
-      let rec seq idx i =
-        if idx = len then k i
-        else m (Array.unsafe_get arr idx) i (fun j -> seq (idx + 1) j)
-      in
-      seq 0 i
-    | CAlt arr ->
-      let len = Array.length arr in
-      let rec alt idx =
-        idx < len && (m (Array.unsafe_get arr idx) i k || alt (idx + 1))
-      in
-      alt 0
-    | COpt g -> m g i k || k i
-    | CStar g ->
-      let rec star i = m g i (fun j -> j > i && star j) || k i in
-      star i
-    | CRepeat (g, lo, hi) ->
-      let rec rep count i =
-        let can_stop = count >= lo in
-        let can_more = match hi with None -> true | Some h -> count < h in
-        (can_more
-         && m g i (fun j -> (j > i || count + 1 >= lo) && rep (count + 1) j))
-        || (can_stop && k i)
-      in
-      rep 0 i
-  in
-  let found =
-    try
-      m prog start (fun j ->
-          result := j;
-          true)
-    with Out_of_fuel -> false
-  in
-  if found then Some !result else None
-
-(* Engine selection: the flat program when compilation fit under
-   [max_rprog], the CPS walker otherwise.  Both explore alternatives in
-   the same order and return the same end offset; fuel is charged per
-   instruction in one and per node visit in the other, so a search near
-   the bound can run out in one executor and not the other.  Running
-   out of fuel is no match on both paths. *)
-let exec ~fuel (re : t) ~(full : bool) (s : string) (start : int) : int option
-    =
-  match if full then re.full_rprog else re.rprog with
-  | Some p -> (try exec_rprog ~fuel p s start with Out_of_fuel -> None)
-  | None -> exec_prog ~fuel (if full then re.full_prog else re.prog) s start
+let run ~fuel re ~full s start =
+  try exec ~fuel re.program ~full s start with Out_of_fuel -> None
 
 let match_at ?(fuel = default_fuel) (re : t) (s : string) (start : int) :
     int option =
-  exec ~fuel re ~full:false s start
+  run ~fuel re ~full:false s start
 
 (** Does the pattern match a prefix of [s] starting at 0? (Python
     [re.match] semantics.) Returns the end offset of the match. *)
 let match_prefix re s = match_at re s 0
 
 (** Does the pattern match the entire string? (Python [re.fullmatch].)
-    One anchored run of the precompiled [full_prog]: backtracking under
-    the appended [$] finds a full-length match iff one exists. *)
-let full_match re s =
-  match exec ~fuel:default_fuel re ~full:true s 0 with
-  | Some _ -> true
-  | None -> false
+    One anchored run that accepts only at the end of [s]: backtracking
+    finds a full-length match iff one exists. *)
+let full_match re s = run ~fuel:default_fuel re ~full:true s 0 <> None
 
 (** First position at which the pattern matches (Python [re.search]).
     Returns (start, end) offsets.  Anchored patterns get a single
@@ -708,7 +564,7 @@ let full_match re s =
 let search re s =
   let n = String.length s in
   if re.anchored then
-    match exec ~fuel:default_fuel re ~full:false s 0 with
+    match match_at re s 0 with
     | Some j -> Some (0, j)
     | None -> None
   else
@@ -722,7 +578,7 @@ let search re s =
           Bytes.unsafe_get first (Char.code (String.unsafe_get s i)) = '\000'
         then go (i + 1)
         else
-          match exec ~fuel:default_fuel re ~full:false s i with
+          match match_at re s i with
           | Some j -> Some (i, j)
           | None -> go (i + 1)
       in
@@ -731,13 +587,11 @@ let search re s =
       let rec go i =
         if i > n then None
         else
-          match exec ~fuel:default_fuel re ~full:false s i with
+          match match_at re s i with
           | Some j -> Some (i, j)
           | None -> go (i + 1)
       in
       go 0
-
-let matches re s = full_match re s
 
 (** Convenience: compile and fully match in one step. *)
 let string_matches pattern s =
@@ -745,3 +599,5 @@ let string_matches pattern s =
   full_match re s
 
 let source re = re.source
+
+let ast re = re.ast

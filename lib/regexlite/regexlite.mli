@@ -5,7 +5,27 @@
     [* + ?] quantifiers, bounded repetition [{m}] [{m,n}] [{m,}], and
     the [^ $] anchors.  Backtracking is fuel-bounded, so pathological
     patterns terminate instead of hanging (a sandboxing requirement for
-    mined code). *)
+    mined code).
+
+    Repetition follows CPython's rule: mandatory iterations always run,
+    even when the body matches empty, and an optional iteration is never
+    started at the position where the previous optional one started.
+    So [(a?){2}] matches [""] and [(|a)*] matches [""] at the start of
+    ["a"].  A repeat count must be at most 4,294,967,294, CPython's
+    limit. *)
+
+type node =
+  | Lit of char
+  | Any
+  | Class of (char * char) list * bool  (** ranges, negated? *)
+  | Repeat of node * int * int option
+      (** [{m,n}]; [None] = unbounded.  [*] [+] [?] parse to [{0,}]
+          [{1,}] [{0,1}] *)
+  | Seq of node list
+  | Alt of node list
+  | Bol  (** [^] *)
+  | Eol  (** [$]: the end of the input only *)
+(** The parsed pattern.  Groups leave no node. *)
 
 type t
 (** A compiled pattern. *)
@@ -13,15 +33,22 @@ type t
 exception Parse_error of string
 
 val parse : string -> t
-(** @raise Parse_error on malformed patterns. *)
+(** @raise Parse_error on malformed patterns, including a repeat count
+    above 4,294,967,294. *)
 
 val source : t -> string
 (** The original pattern text. *)
 
+val ast : t -> node
+(** The parsed pattern, for reference matchers. *)
+
+val default_fuel : int
+(** Backtracking steps one match attempt may take by default. *)
+
 val match_at : ?fuel:int -> t -> string -> int -> int option
 (** [match_at re s i] matches starting exactly at offset [i]; returns
-    the end offset of a match, or [None].  Exhausting [fuel] counts as
-    no match. *)
+    the end offset of a match, or [None].  Exhausting [fuel] (default
+    {!default_fuel}) counts as no match. *)
 
 val match_prefix : t -> string -> int option
 (** Python [re.match] semantics: anchored at offset 0, returns the end
@@ -33,9 +60,6 @@ val full_match : t -> string -> bool
 val search : t -> string -> (int * int) option
 (** Python [re.search] semantics: first offset pair [(start, stop)] at
     which the pattern matches. *)
-
-val matches : t -> string -> bool
-(** Alias for {!full_match}. *)
 
 val string_matches : string -> string -> bool
 (** [string_matches pattern s] compiles and fully matches in one step. *)

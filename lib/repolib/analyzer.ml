@@ -374,9 +374,9 @@ let compute_verdict (c : Candidate.t) : verdict =
     { rankable = Staticcheck.Taint.script_rankable t path; budget_hint = None }
 
 let verdict (c : Candidate.t) : verdict =
-  (* Candidate.id is unique within a repo snapshot; add the content
+  (* Candidate.key is unique within a repo snapshot; add the content
      hash so test repos reusing names do not collide. *)
-  let key = (Candidate.id c, Hashtbl.hash c.Candidate.repo.Repo.files) in
+  let key = (Candidate.key c, Hashtbl.hash c.Candidate.repo.Repo.files) in
   Mutex.lock verdict_lock;
   match Hashtbl.find_opt verdict_cache key with
   | Some v ->
@@ -493,7 +493,7 @@ let compute_absint (c : Candidate.t) : Absint.Domain.facts =
     Absint.Domain.unknown_facts
 
 let absint_facts (c : Candidate.t) : Absint.Domain.facts =
-  let key = (Candidate.id c, Hashtbl.hash c.Candidate.repo.Repo.files) in
+  let key = (Candidate.key c, Hashtbl.hash c.Candidate.repo.Repo.files) in
   Mutex.lock absint_lock;
   match Hashtbl.find_opt absint_cache key with
   | Some v ->

@@ -58,3 +58,5 @@ let describe c =
 
 (** A stable identifier used for deduplication and reporting. *)
 let id c = c.repo.Repo.repo_name ^ "/" ^ c.file ^ "#" ^ c.func_name
+
+let key c = id c ^ " " ^ invocation_to_string c.invocation

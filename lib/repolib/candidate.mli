@@ -31,4 +31,9 @@ val describe : t -> string
 (** e.g. ["mpaz/cardcheck :: is_valid_card [F(s)]"]. *)
 
 val id : t -> string
-(** Stable identifier for deduplication and pooling. *)
+(** Stable identifier for deduplication and pooling.  One function
+    invoked through two plans shares its id. *)
+
+val key : t -> string
+(** {!id} plus the invocation plan: distinct for distinct candidates of
+    one repository snapshot, so it keys every per-candidate memo. *)

@@ -334,6 +334,44 @@ let test_lr_chance_on_identical () =
   Alcotest.(check bool) "identical traces score 0.5" true
     (score > 0.45 && score < 0.55)
 
+(* ---------------------------- trace cache --------------------------- *)
+
+(* One two-parameter function gives two [Split_call] candidates with one
+   id, one splitting on ',' and one on ' '.  Traced through one shared
+   cache, each must get its own traces, the ones it gets uncached. *)
+let test_trace_cache_keys_plans () =
+  let source =
+    "def longer_first(a, b):\n\
+    \    if len(a) > len(b):\n\
+    \        return True\n\
+    \    return False\n"
+  in
+  let repo =
+    Repolib.Repo.make "t/split-plans" "two split plans"
+      [ { Repolib.Repo.path = "m.py"; source } ]
+  in
+  let plans = Repolib.Analyzer.candidates_of_repo repo in
+  Alcotest.(check int) "two split plans" 2 (List.length plans);
+  let positives = [ "1,2 3"; "12 3,4" ] and negatives = [ "1 2,3" ] in
+  let trace ?cache c =
+    let t =
+      Autotype_core.Ranking.trace_candidate ?cache c ~positives ~negatives
+    in
+    (t.Autotype_core.Ranking.pos_raw, t.Autotype_core.Ranking.neg_raw)
+  in
+  let uncached = List.map (fun c -> trace c) plans in
+  let cache = Autotype_core.Ranking.cache_create () in
+  let cached = List.map (fun c -> trace ~cache c) plans in
+  Alcotest.(check bool) "the plans trace differently" true
+    (List.nth uncached 0 <> List.nth uncached 1);
+  List.iteri
+    (fun i c ->
+      Alcotest.(check bool)
+        (Repolib.Candidate.describe c ^ ": cached traces are its own")
+        true
+        (List.nth cached i = List.nth uncached i))
+    plans
+
 let suite =
   [
     ("bitset", `Quick, test_bitset);
@@ -356,4 +394,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dnf_k_bound;
     ("lr separates separable data", `Quick, test_lr_separates);
     ("lr chance on identical traces", `Quick, test_lr_chance_on_identical);
+    ("trace cache keeps plans of one function apart", `Quick,
+     test_trace_cache_keys_plans);
   ]

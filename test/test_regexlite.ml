@@ -33,6 +33,7 @@ let test_quantifiers () =
   Alcotest.(check bool) "range count" true (m "a{2,4}" "aaa");
   Alcotest.(check bool) "range count hi" false (m "a{2,4}" "aaaaa");
   Alcotest.(check bool) "open range" true (m "a{2,}" "aaaaaa");
+  Alcotest.(check bool) "count at the limit" true (m "a{0,4294967294}" "aaa");
   Alcotest.(check bool) "group star" true (m "(ab)+" "ababab");
   Alcotest.(check bool) "group star partial" false (m "(ab)+" "ababa")
 
@@ -76,7 +77,9 @@ let test_parse_errors () =
       match Regexlite.parse p with
       | _ -> Alcotest.failf "expected parse error for %S" p
       | exception Regexlite.Parse_error _ -> ())
-    [ "a{3"; "[abc"; "(ab"; "*a"; "a{4,2}"; "a\\" ]
+    [ "a{3"; "[abc"; "(ab"; "*a"; "a{4,2}"; "a\\";
+      (* Counts above CPython's limit of 4,294,967,294. *)
+      "a{99999999999999999999}"; "a{0,4294967295}" ]
 
 let test_fuel_bound () =
   (* Catastrophic backtracking is bounded, not hanging. *)
@@ -85,8 +88,7 @@ let test_fuel_bound () =
   Alcotest.(check bool) "pathological input returns" false
     (Regexlite.full_match re s)
 
-(* Out of fuel is no match on every entry point, whichever executor the
-   pattern compiles to (this one fits the flat program). *)
+(* Out of fuel is no match on every entry point. *)
 let test_fuel_exhaustion_is_no_match () =
   let re = Regexlite.parse "(a{1,5}){1,50}b" in
   let s = String.make 60 'a' in
@@ -95,25 +97,23 @@ let test_fuel_exhaustion_is_no_match () =
     (Regexlite.match_prefix re s);
   Alcotest.(check (option (pair int int))) "search" None (Regexlite.search re s)
 
-(* A pattern suffix that matches only the empty string on inputs over
-   [a]/[b], and whose unrolling is too long for the flat program, so the
-   padded pattern runs on the CPS executor with unchanged results. *)
-let cps_pad = "(#|%){0,1100}"
+module Oracle_re = Oracle.Regex_walk
 
 (* Cases checked against Python's [re]: a backtrack into an earlier
    iteration of a loop must see that iteration's start position. *)
 let test_loop_state_on_backtrack () =
   let check pat s ~full ~prefix =
+    let re = Regexlite.parse pat in
     List.iter
-      (fun (route, pat) ->
-        let re = Regexlite.parse pat in
+      (fun (engine, full_match, match_prefix) ->
         Alcotest.(check bool)
-          (Printf.sprintf "%s full_match %S (%s)" pat s route)
-          full (Regexlite.full_match re s);
+          (Printf.sprintf "%s full_match %S (%s)" pat s engine)
+          full (full_match re s);
         Alcotest.(check (option int))
-          (Printf.sprintf "%s match_prefix %S (%s)" pat s route)
-          prefix (Regexlite.match_prefix re s))
-      [ ("flat", pat); ("cps", pat ^ cps_pad) ]
+          (Printf.sprintf "%s match_prefix %S (%s)" pat s engine)
+          prefix (match_prefix re s))
+      [ ("library", Regexlite.full_match, Regexlite.match_prefix);
+        ("oracle", Oracle_re.full_match, Oracle_re.match_prefix) ]
   in
   check "(aa|a)*ab" "aab" ~full:true ~prefix:(Some 3);
   check "(aa|a)*(b)?((ab|a)*(a|b){2}(aa)*)" "babbaa" ~full:true
@@ -121,15 +121,49 @@ let test_loop_state_on_backtrack () =
   check "((([ab])?(b)+(b|ab))*(a|b)*)*(a)(ab)?" "baaab" ~full:true
     ~prefix:(Some 4)
 
+(* CPython's repeat rule, each case checked against CPython 3.11:
+   mandatory iterations run even when the body matches empty, and an
+   optional iteration never starts where the previous optional one
+   started. *)
+let test_cpython_repeat_rule () =
+  let prefix pat s expected =
+    let re = Regexlite.parse pat in
+    Alcotest.(check (option int))
+      (Printf.sprintf "%s match_prefix %S" pat s)
+      expected (Regexlite.match_prefix re s);
+    Alcotest.(check (option int))
+      (Printf.sprintf "%s match_prefix %S (oracle)" pat s)
+      expected (Oracle_re.match_prefix re s)
+  in
+  let full pat s =
+    let re = Regexlite.parse pat in
+    Alcotest.(check bool) (Printf.sprintf "%s full_match %S" pat s) true
+      (Regexlite.full_match re s);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s full_match %S (oracle)" pat s)
+      true (Oracle_re.full_match re s)
+  in
+  prefix "(a?){2}" "" (Some 0);
+  full "x(a?){2}y" "xy";
+  prefix "(|a)*" "a" (Some 0);
+  prefix "(|a)+" "aa" (Some 0);
+  prefix "(|a){2,3}" "aaa" (Some 0);
+  prefix "(a?a?){1,}" "aaa" (Some 3);
+  (* An unbounded repeat over a nullable body ends at once instead of
+     spinning down the fuel. *)
+  let t0 = Unix.gettimeofday () in
+  full "((aa)?){2,}" "";
+  Alcotest.(check bool) "((aa)?){2,} answers in well under a second" true
+    (Unix.gettimeofday () -. t0 < 0.5)
+
 (* Seeded differential: random patterns over [a]/[b] with every
-   quantifier form, each matched by the flat program and (padded) by the
-   CPS executor on random short inputs.  [{m,}] is applied only to
-   bodies that cannot match empty: over a nullable body it loops without
-   a progress guard in both executors until the fuel runs out (a known
-   defect, listed in CHANGES.md), which costs seconds per pattern and
-   never makes the executors disagree.  [node] and [seq] return a
-   pattern and whether it can match empty. *)
-let gen_pattern rng =
+   quantifier form over every body, each matched by the library and by
+   the oracle on random short inputs.  [node] and [seq] return a
+   pattern and whether it can match empty; [nullable_open] counts
+   [{m,}] over a nullable body and [empty_alt] groups with an empty
+   alternative, so the test shows it generates the shapes the
+   repeat rule decides. *)
+let gen_pattern rng ~nullable_open ~empty_alt =
   let pick arr = arr.(Random.State.int rng (Array.length arr)) in
   let quant body_nullable =
     match Random.State.int rng 10 with
@@ -143,9 +177,10 @@ let gen_pattern rng =
       let m = Random.State.int rng 3 in
       ( Printf.sprintf "{%d,%d}" m (m + Random.State.int rng 3),
         m = 0 || body_nullable )
-    | 5 when not body_nullable ->
+    | 5 ->
       let m = Random.State.int rng 3 in
-      (Printf.sprintf "{%d,}" m, m = 0)
+      if body_nullable then incr nullable_open;
+      (Printf.sprintf "{%d,}" m, m = 0 || body_nullable)
     | _ -> ("", body_nullable)
   in
   let rec node depth =
@@ -156,13 +191,14 @@ let gen_pattern rng =
         let alts =
           List.init (1 + Random.State.int rng 2) (fun _ -> seq (depth - 1))
         in
+        if List.mem_assoc "" alts then incr empty_alt;
         ( "(" ^ String.concat "|" (List.map fst alts) ^ ")",
           List.exists snd alts )
     in
     let q, nullable = quant nullable in
     (atom ^ q, nullable)
   and seq depth =
-    let items = List.init (1 + Random.State.int rng 3) (fun _ -> node depth) in
+    let items = List.init (Random.State.int rng 4) (fun _ -> node depth) in
     (String.concat "" (List.map fst items), List.for_all snd items)
   in
   fst (seq 2)
@@ -170,27 +206,29 @@ let gen_pattern rng =
 let test_flat_vs_cps_differential () =
   let rng = Random.State.make [| 0x5E6; 0x1EC5 |] in
   let failures = ref [] in
+  let nullable_open = ref 0 and empty_alt = ref 0 in
   for _ = 1 to 3000 do
-    let pat = gen_pattern rng in
-    let flat = Regexlite.parse pat and cps = Regexlite.parse (pat ^ cps_pad) in
+    let pat = gen_pattern rng ~nullable_open ~empty_alt in
+    let re = Regexlite.parse pat in
     for _ = 1 to 10 do
       let s =
         String.init (Random.State.int rng 7) (fun _ ->
             if Random.State.bool rng then 'a' else 'b')
       in
-      let agree f = f flat = f cps in
       if
-        not
-          (agree (fun re -> Regexlite.full_match re s)
-          && agree (fun re -> Regexlite.match_prefix re s)
-          && agree (fun re -> Regexlite.search re s))
+        Regexlite.full_match re s <> Oracle_re.full_match re s
+        || Regexlite.match_prefix re s <> Oracle_re.match_prefix re s
+        || Regexlite.search re s <> Oracle_re.search re s
       then failures := Printf.sprintf "%s on %S" pat s :: !failures
     done
   done;
+  Alcotest.(check bool) "generates nullable repeat bodies" true
+    (!nullable_open > 0);
+  Alcotest.(check bool) "generates empty alternatives" true (!empty_alt > 0);
   match !failures with
   | [] -> ()
   | fs ->
-    Alcotest.failf "%d flat/CPS disagreement(s) in 30000 pairs; first: %s"
+    Alcotest.failf "%d library/oracle disagreement(s) in 30000 pairs; first: %s"
       (List.length fs) (List.hd (List.rev fs))
 
 (* Property: a literal string always matches itself once special
@@ -238,6 +276,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_digit_class;
     ("fuel exhaustion is no match", `Quick, test_fuel_exhaustion_is_no_match);
     ("loop state survives backtracking", `Quick, test_loop_state_on_backtrack);
+    ("CPython's repeat rule", `Quick, test_cpython_repeat_rule);
     ("flat program agrees with the CPS executor", `Quick,
      test_flat_vs_cps_differential);
   ]

@@ -273,6 +273,27 @@ let test_regex_fuel_exhaustion () =
   | Minilang.Interp.Finished (Minilang.Value.Vbool false) -> ()
   | _ -> Alcotest.fail "expected the run to finish with False"
 
+(* Numbers too large for an OCaml int fail with typed errors: an
+   integer literal is a lex error the repository reports, and a regex
+   repeat count is a ValueError inside the run. *)
+let test_oversized_numbers () =
+  let repo = repo_of "def f(s):\n    return 99999999999999999999\n" "t/bigint" in
+  (match Repolib.Repo.parse_each repo with
+   | [], [ (_, 2, msg) ] ->
+     Alcotest.(check string) "lex error" "lex: integer literal too large" msg
+   | _ -> Alcotest.fail "expected one lex error on line 2");
+  let src =
+    "def check(s):\n\
+    \    if re.match(s, \"aaa\"):\n\
+    \        return True\n\
+    \    return False\n"
+  in
+  let c = List.hd (candidates_of src) in
+  let r = Repolib.Driver.run_safe c "a{99999999999999999999}" in
+  match r.Minilang.Interp.outcome with
+  | Minilang.Interp.Errored ("ValueError", _) -> ()
+  | _ -> Alcotest.fail "expected the run to raise ValueError"
+
 let suite =
   [
     ("variant 1: direct", `Quick, test_variant_direct);
@@ -291,4 +312,5 @@ let suite =
     ("script argv variant", `Quick, test_script_argv_variant);
     ("budget hint clamped to >= 1", `Quick, test_config_with_hint_clamp);
     ("regex out of fuel is no match", `Quick, test_regex_fuel_exhaustion);
+    ("oversized numbers fail with typed errors", `Quick, test_oversized_numbers);
   ]
