@@ -1,4 +1,4 @@
-.PHONY: all build test lint absint regex-diff models faults serve-smoke bench-smoke check bench bench-compare clean
+.PHONY: all build test lint absint regex-diff fingerprints models faults serve-smoke bench-smoke check bench bench-compare clean
 
 all: build
 
@@ -33,6 +33,20 @@ absint: build
 # not in `dune runtest`.
 regex-diff: build
 	python3 test/regex_diff/regex_diff.py _build/default/test/regex_diff/regex_diff.exe
+
+# Golden synthesis fingerprints: synthesize every covered type with the
+# default config and seeded positives, and diff one MD5 per type (the
+# strategy, the negatives, and every ranked key, DNF and exact score)
+# against the committed test/fingerprints/expected.txt.  Catches any
+# ranking change that two routes of the same build would share.
+# FINGERPRINT_JOBS=2 runs the tracing on two domains; the output must
+# not change.
+FINGERPRINT_JOBS ?= 1
+FINGERPRINT_OUT ?= _build/fingerprints.txt
+fingerprints: build
+	./_build/default/test/fingerprints/fingerprints.exe --jobs $(FINGERPRINT_JOBS) > $(FINGERPRINT_OUT)
+	diff -u test/fingerprints/expected.txt $(FINGERPRINT_OUT)
+	@echo "fingerprints: OK"
 
 # Rewrite the committed bench artifacts in canonical form: sorted keys,
 # fixed float formatting, one trailing newline.  Timings vary run to
@@ -119,11 +133,11 @@ bench-smoke: build
 
 # Full gate: build, test suites (the VM's parity with the tree-walking
 # reference evaluator runs there, DESIGN.md §14), the CPython regex
-# differential, the compile/serve smoke, the fault-injection smoke, the daemon smoke, the benchmark
+# differential, the golden synthesis fingerprints, the compile/serve smoke, the fault-injection smoke, the daemon smoke, the benchmark
 # smoke, and the observability paths (CLI --stats and the
 # machine-readable bench JSON).  Opt into the parallel-determinism gate
 # with BENCH=1.
-check: build test lint absint regex-diff models faults serve-smoke bench-smoke $(if $(BENCH),bench-compare)
+check: build test lint absint regex-diff fingerprints models faults serve-smoke bench-smoke $(if $(BENCH),bench-compare)
 	dune exec bin/autotype_cli.exe -- synth --type credit-card --stats
 	dune exec bench/main.exe -- pipeline
 	@test -s BENCH_pipeline.json || { echo "BENCH_pipeline.json missing or empty"; exit 1; }
