@@ -178,19 +178,46 @@ let synthesize ?(config = default_config) ?negatives_override ?pool ?cache
           [ ("candidates", Telemetry.I (List.length candidates));
             ("jobs", Telemetry.I jobs) ]
         (fun () ->
+          (* Static step-budget hints shrink max_steps for proven spin
+             loops; Hit_limit emits no trace event, so traces (and the
+             cache keyed on them) are unaffected. *)
+          let planned =
+            List.mapi
+              (fun i c ->
+                let iconfig =
+                  if config.staticcheck then
+                    Repolib.Driver.config_for ~input_len c
+                  else Repolib.Driver.default_config
+                in
+                (i, c, iconfig))
+              candidates
+          in
+          (* One task per clone class: members share the class's inner
+             cache tables, which only the domain tracing the class
+             touches.  Members trace in candidate order inside the task,
+             and the results go back into candidate order. *)
+          let classes = Hashtbl.create 64 and order = ref [] in
+          List.iter
+            (fun ((_, c, iconfig) as m) ->
+              let key = Ranking.class_key ~config:iconfig c in
+              match Hashtbl.find_opt classes key with
+              | Some ms -> Hashtbl.replace classes key (m :: ms)
+              | None ->
+                Hashtbl.add classes key [ m ];
+                order := key :: !order)
+            planned;
+          let tasks =
+            List.rev_map (fun key -> List.rev (Hashtbl.find classes key)) !order
+          in
+          let traced = Array.make (List.length candidates) None in
           Exec.map ?pool
-            (fun c ->
-              (* Static step-budget hints shrink max_steps for proven
-                 spin loops; Hit_limit emits no trace event, so traces
-                 (and the cache keyed on them) are unaffected. *)
-              let iconfig =
-                if config.staticcheck then
-                  Repolib.Driver.config_for ~input_len c
-                else Repolib.Driver.default_config
-              in
-              Ranking.trace_candidate ~config:iconfig ~cache ~prune:true c
-                ~positives ~negatives)
-            candidates)
+            (List.map (fun (i, c, iconfig) ->
+                 ( i,
+                   Ranking.trace_candidate ~config:iconfig ~cache ~prune:true c
+                     ~positives ~negatives )))
+            tasks
+          |> List.iter (List.iter (fun (i, t) -> traced.(i) <- Some t));
+          Array.to_list (Array.map Option.get traced))
     in
     let rank traceds =
       Telemetry.with_span "pipeline.rank" (fun () ->

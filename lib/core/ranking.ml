@@ -23,7 +23,283 @@ type traced = {
   pruned : bool;
       (** negative tracing was skipped: every positive run errored, so
           the candidate cannot validate anything *)
+  clone : Repolib.Analyzer.clone;
+      (** the candidate's clone class, its key extended by the
+          interpreter config it was traced under *)
+  examples : string list * string list;
+      (** the positives and negatives it was traced on, as passed *)
 }
+
+let m_candidates_traced = Telemetry.counter "ranking.candidates_traced"
+let h_steps_per_candidate = Telemetry.histogram "ranking.steps_per_candidate"
+let m_cache_hits = Telemetry.counter "ranking.trace_cache_hits"
+let m_cache_misses = Telemetry.counter "ranking.trace_cache_misses"
+let m_pos_runs = Telemetry.counter "ranking.positive_runs"
+let m_neg_runs = Telemetry.counter "ranking.negative_runs"
+let m_pruned = Telemetry.counter "pipeline.candidates_pruned"
+let m_clone_classes = Telemetry.counter "ranking.clone_classes"
+let m_clone_members_shared = Telemetry.counter "ranking.clone_members_shared"
+
+(* ------------------------------------------------------------------ *)
+(* Clone classes and site renaming                                     *)
+(* ------------------------------------------------------------------ *)
+
+(** The candidate's clone class under [config]: runs differ with the
+    step budget, so different budgets never share. *)
+let clone_under ?(config = Repolib.Driver.default_config) c :
+    Repolib.Analyzer.clone =
+  let clone = Repolib.Analyzer.clone c in
+  {
+    clone with
+    Repolib.Analyzer.class_key =
+      Printf.sprintf "%s %d %d" clone.Repolib.Analyzer.class_key
+        config.Minilang.Interp.max_steps config.Minilang.Interp.max_call_depth;
+  }
+
+let class_key ?config c = (clone_under ?config c).Repolib.Analyzer.class_key
+
+(* The site renaming that takes one member's closure files to
+   another's, position by position; [None] when they are the same. *)
+type renaming = { from : string array; into : string array }
+
+let renaming ~(from : string list) ~(into : string list) =
+  if List.equal String.equal from into then None
+  else Some { from = Array.of_list from; into = Array.of_list into }
+
+(* The closure position of a site's file, or -1.  Sites carry their file
+   name physically shared with the parsed program, so [==] nearly
+   always answers. *)
+let position r file =
+  let rec go i =
+    if i = Array.length r.from then -1
+    else if r.from.(i) == file || String.equal r.from.(i) file then i
+    else go (i + 1)
+  in
+  go 0
+
+let rename_site r (s : Minilang.Trace.site) =
+  match position r s.Minilang.Trace.s_file with
+  | -1 -> s
+  | i -> { s with Minilang.Trace.s_file = r.into.(i) }
+
+module Int_tbl = Hashtbl.Make (Int)
+module String_tbl = Hashtbl.Make (String)
+
+(* A member's event renaming.  Each renamed event is built once: a
+   closure emits few distinct events, and its traces repeat them. *)
+let event_renamer r : Minilang.Trace.event -> Minilang.Trace.event =
+  let memo = Array.map (fun _ -> Int_tbl.create 32) r.from in
+  let with_site (ev : Minilang.Trace.event) s : Minilang.Trace.event =
+    match ev with
+    | Branch (_, b) -> Branch (s, b)
+    | Return (_, v) -> Return (s, v)
+    | Assign (_, n, v) -> Assign (s, n, v)
+    | Exception _ -> ev
+  in
+  let memoized ev (s : Minilang.Trace.site) code =
+    match position r s.s_file with
+    | -1 -> ev
+    | i ->
+      let key = (s.s_line * 16) + code in
+      (match Int_tbl.find_opt memo.(i) key with
+       | Some ev' -> ev'
+       | None ->
+         let ev' = with_site ev { s with s_file = r.into.(i) } in
+         Int_tbl.add memo.(i) key ev';
+         ev')
+  in
+  fun ev ->
+    match ev with
+    | Branch (s, b) -> memoized ev s (Bool.to_int b)
+    | Return (s, v) ->
+      memoized ev s
+        (match v with
+         | Rbool false -> 2
+         | Rbool true -> 3
+         | Rzero -> 4
+         | Rnonzero -> 5
+         | Rnone -> 6
+         | Rnotnone -> 7
+         | Rvoid -> 8)
+    | Assign (s, _, _) -> with_site ev (rename_site r s)
+    | Exception _ -> ev
+
+let rename_literal r = function
+  | Feature.Branch_is (s, b) -> Feature.Branch_is (rename_site r s, b)
+  | Feature.Return_is (s, v) -> Feature.Return_is (rename_site r s, v)
+  | Feature.Raised _ as l -> l
+
+let rename_dnf renaming (r : Dnf.result) : Dnf.result =
+  let lit = rename_literal renaming in
+  let clause = List.map lit in
+  {
+    r with
+    Dnf.clauses = List.map clause r.Dnf.clauses;
+    expanded = List.map clause r.Dnf.expanded;
+    groups =
+      List.map
+        (fun (g : Dnf.group) ->
+          { g with
+            Dnf.representative = lit g.Dnf.representative;
+            members = List.map lit g.Dnf.members })
+        r.Dnf.groups;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Incremental tracing                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(** Memo of per-(clone class, input) traces.  The interpreter is
+    deterministic, so a (candidate, input) pair always produces the same
+    trace and step count, and every member of a clone class produces the
+    representative's trace with its sites renamed: positives re-traced
+    on every S1→S2→S3 attempt, duplicate negatives, and clones of an
+    already-traced function are served from the cache instead of
+    re-executing.
+
+    A class holds its representative (the first member traced), whose
+    file names the stored traces use, and per other member the renamed
+    traces handed out so far.
+
+    Domain safety: the outer per-class table is mutex-guarded; each
+    class's inner tables are only ever touched by the one domain
+    currently tracing that class (the pipeline parallelizes across
+    classes, and strategy attempts are sequential), so lookups on the
+    hot path are lock-free. *)
+(* Traces of one class, interned by content: a class's runs repeat a
+   few distinct traces, and a member renames each distinct one once. *)
+module Trace_tbl = Hashtbl.Make (struct
+  type t = Minilang.Trace.t
+
+  let equal t1 t2 = t1 == t2 || List.equal (fun a b -> a == b || a = b) t1 t2
+
+  let hash (t : t) =
+    List.fold_left
+      (fun h (ev : Minilang.Trace.event) ->
+        (h * 31)
+        +
+        match ev with
+        | Branch (s, b) -> (s.s_line * 2) + Bool.to_int b
+        | Return (s, _) | Assign (s, _, _) -> s.s_line
+        | Exception k -> Hashtbl.hash k)
+      0 t
+    land max_int
+end)
+
+type member = {
+  event : (Minilang.Trace.event -> Minilang.Trace.event) option;
+      (** [None] when it shares the representative's file names *)
+  mutable renamed : Minilang.Trace.t option array;
+      (** by distinct trace: renamed once asked for *)
+}
+
+type run = {
+  trace : Minilang.Trace.t;  (** in the representative's file names *)
+  distinct : int;  (** which of the class's distinct traces it is *)
+  steps : int;
+}
+
+type clone_class = {
+  rep : Repolib.Candidate.t;
+  rep_files : string list;
+  runs : run String_tbl.t;  (** by input *)
+  distinct : (int * Minilang.Trace.t) Trace_tbl.t;
+      (** each distinct trace: its number, and the list all runs share *)
+  members : (string, member) Hashtbl.t;  (** by {!Repolib.Candidate.key} *)
+}
+
+type cache = {
+  lock : Mutex.t;
+  classes : (string, clone_class) Hashtbl.t;
+}
+
+let cache_create () = { lock = Mutex.create (); classes = Hashtbl.create 64 }
+
+let cache_class cache (clone : Repolib.Analyzer.clone) c =
+  let key = clone.Repolib.Analyzer.class_key in
+  Mutex.lock cache.lock;
+  let cls =
+    match Hashtbl.find_opt cache.classes key with
+    | Some cls -> cls
+    | None ->
+      let cls =
+        { rep = c; rep_files = clone.Repolib.Analyzer.files;
+          runs = String_tbl.create 64; distinct = Trace_tbl.create 16;
+          members = Hashtbl.create 4 }
+      in
+      Hashtbl.add cache.classes key cls;
+      Telemetry.incr m_clone_classes;
+      cls
+  in
+  Mutex.unlock cache.lock;
+  cls
+
+let class_member cls (clone : Repolib.Analyzer.clone) c =
+  let key = Repolib.Candidate.key c in
+  match Hashtbl.find_opt cls.members key with
+  | Some m -> m
+  | None ->
+    let event =
+      Option.map event_renamer
+        (renaming ~from:cls.rep_files ~into:clone.Repolib.Analyzer.files)
+    in
+    let m = { event; renamed = [||] } in
+    Hashtbl.add cls.members key m;
+    if key <> Repolib.Candidate.key cls.rep then
+      Telemetry.incr m_clone_members_shared;
+    m
+
+(* Run the representative on [e] and record the run under its distinct
+   trace. *)
+let record_run ?config cls e =
+  let r = Repolib.Driver.run_safe ?config cls.rep e in
+  let distinct, trace =
+    let trace = r.Minilang.Interp.trace in
+    match Trace_tbl.find_opt cls.distinct trace with
+    | Some d -> d
+    | None ->
+      let d = (Trace_tbl.length cls.distinct, trace) in
+      Trace_tbl.add cls.distinct trace d;
+      d
+  in
+  let run = { trace; distinct; steps = r.Minilang.Interp.steps_used } in
+  String_tbl.replace cls.runs e run;
+  run
+
+let run_examples_cached ?config ~cls ~member ~runs_counter
+    (examples : string list) : Minilang.Trace.t list * int =
+  let steps = ref 0 in
+  let traces =
+    List.map
+      (fun e ->
+        let run =
+          match String_tbl.find_opt cls.runs e with
+          | Some run ->
+            Telemetry.incr m_cache_hits;
+            run
+          | None ->
+            Telemetry.incr m_cache_misses;
+            Telemetry.incr runs_counter;
+            record_run ?config cls e
+        in
+        steps := !steps + run.steps;
+        match member.event with
+        | None -> run.trace
+        | Some event ->
+          let d = run.distinct in
+          if d >= Array.length member.renamed then
+            member.renamed <-
+              Array.append member.renamed
+                (Array.make (d + 1 - Array.length member.renamed) None);
+          (match member.renamed.(d) with
+           | Some t -> t
+           | None ->
+             let t = List.map event run.trace in
+             member.renamed.(d) <- Some t;
+             t))
+      examples
+  in
+  (traces, !steps)
 
 let run_examples ?config (c : Repolib.Candidate.t) (examples : string list) :
     Minilang.Trace.t list * int =
@@ -38,75 +314,6 @@ let run_examples ?config (c : Repolib.Candidate.t) (examples : string list) :
   in
   (traces, !steps)
 
-let m_candidates_traced = Telemetry.counter "ranking.candidates_traced"
-let h_steps_per_candidate = Telemetry.histogram "ranking.steps_per_candidate"
-let m_cache_hits = Telemetry.counter "ranking.trace_cache_hits"
-let m_cache_misses = Telemetry.counter "ranking.trace_cache_misses"
-let m_pos_runs = Telemetry.counter "ranking.positive_runs"
-let m_neg_runs = Telemetry.counter "ranking.negative_runs"
-let m_pruned = Telemetry.counter "pipeline.candidates_pruned"
-
-(* ------------------------------------------------------------------ *)
-(* Incremental tracing                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** Memo of per-(candidate, input) traces.  The interpreter is
-    deterministic, so a (candidate, input) pair always produces the same
-    trace and step count: positives re-traced on every S1→S2→S3 attempt
-    and duplicate negatives are served from the cache instead of
-    re-executing.
-
-    Domain safety: the outer per-candidate table is mutex-guarded and
-    keyed by {!Repolib.Candidate.key}, so two plans of one function get
-    two inner tables; each inner table is only ever touched by the one
-    domain currently tracing that candidate (the execution engine
-    parallelizes across candidates, and strategy attempts are
-    sequential), so lookups on the hot path are lock-free. *)
-type cache = {
-  lock : Mutex.t;
-  per_candidate :
-    (string, (string, Minilang.Trace.t * int) Hashtbl.t) Hashtbl.t;
-}
-
-let cache_create () =
-  { lock = Mutex.create (); per_candidate = Hashtbl.create 64 }
-
-let cache_sub cache (c : Repolib.Candidate.t) =
-  let key = Repolib.Candidate.key c in
-  Mutex.lock cache.lock;
-  let sub =
-    match Hashtbl.find_opt cache.per_candidate key with
-    | Some sub -> sub
-    | None ->
-      let sub = Hashtbl.create 64 in
-      Hashtbl.add cache.per_candidate key sub;
-      sub
-  in
-  Mutex.unlock cache.lock;
-  sub
-
-let run_examples_cached ?config ~sub ~runs_counter (c : Repolib.Candidate.t)
-    (examples : string list) : Minilang.Trace.t list * int =
-  let steps = ref 0 in
-  let traces =
-    List.map
-      (fun e ->
-        match Hashtbl.find_opt sub e with
-        | Some (trace, steps_used) ->
-          Telemetry.incr m_cache_hits;
-          steps := !steps + steps_used;
-          trace
-        | None ->
-          let r = Repolib.Driver.run_safe ?config c e in
-          Telemetry.incr m_cache_misses;
-          Telemetry.incr runs_counter;
-          Hashtbl.replace sub e (r.Minilang.Interp.trace, r.Minilang.Interp.steps_used);
-          steps := !steps + r.Minilang.Interp.steps_used;
-          r.Minilang.Interp.trace)
-      examples
-  in
-  (traces, !steps)
-
 let trace_errored (trace : Minilang.Trace.t) =
   List.exists
     (function Minilang.Trace.Exception _ -> true | _ -> false)
@@ -114,15 +321,17 @@ let trace_errored (trace : Minilang.Trace.t) =
 
 let trace_candidate ?config ?cache ?(prune = false)
     (c : Repolib.Candidate.t) ~positives ~negatives : traced =
+  let clone = clone_under ?config c in
   let run_pos, run_neg =
     match cache with
     | None ->
       ( (fun examples -> run_examples ?config c examples),
         fun examples -> run_examples ?config c examples )
     | Some cache ->
-      let sub = cache_sub cache c in
-      ( run_examples_cached ?config ~sub ~runs_counter:m_pos_runs c,
-        run_examples_cached ?config ~sub ~runs_counter:m_neg_runs c )
+      let cls = cache_class cache clone c in
+      let member = class_member cls clone c in
+      ( run_examples_cached ?config ~cls ~member ~runs_counter:m_pos_runs,
+        run_examples_cached ?config ~cls ~member ~runs_counter:m_neg_runs )
   in
   let pos_raw, s1 = run_pos positives in
   (* A candidate that errors on every positive can never cover the
@@ -134,7 +343,8 @@ let trace_candidate ?config ?cache ?(prune = false)
   if pruned then Telemetry.incr m_pruned;
   Telemetry.incr m_candidates_traced;
   Telemetry.observe h_steps_per_candidate (float_of_int (s1 + s2));
-  { candidate = c; pos_raw; neg_raw; steps = s1 + s2; pruned }
+  { candidate = c; pos_raw; neg_raw; steps = s1 + s2; pruned; clone;
+    examples = (positives, negatives) }
 
 let featurized ?(mode = `All) (t : traced) :
     Feature.Literal_set.t list * Feature.Literal_set.t list =
@@ -167,34 +377,88 @@ let rank_one ?(k = 3) ?(theta = 0.3) (method_ : method_) ~query
     let dnf = Dnf.empty_result ~n_pos:(List.length t.pos_raw) ~n_neg:0 in
     { traced = t; dnf; score = dnf_score dnf }
   in
-  let with_dnf mode compute =
+  (* A class's runs repeat a few distinct traces (see [record_run]):
+     featurize each once per call. *)
+  let all = Trace_tbl.create 256 and returns_only = Trace_tbl.create 256 in
+  let instance ~mode t =
+    let features =
+      match mode with `All -> all | `Returns_only -> returns_only
+    in
+    let featurize trace =
+      match Trace_tbl.find_opt features trace with
+      | Some lits -> lits
+      | None ->
+        let lits = Feature.featurize ~mode trace in
+        Trace_tbl.add features trace lits;
+        lits
+    in
+    Dnf.make_instance
+      ~positives:(List.map featurize t.pos_raw)
+      ~negatives:(List.map featurize t.neg_raw)
+  in
+  (* One featurized cover per clone class.  Two traceds of one class
+     traced on the same examples have traces equal up to renaming their
+     sites, and the renaming keeps the order of literals (the class key
+     fixes how the closure's files sort against each other and against
+     "<output>"), so one's greedy cover, renamed, is the other's.  Not
+     for DNF-C: it takes its clauses out of a hash table keyed by their
+     text, whose order the renaming changes. *)
+  let per_class compute rename =
+    let memo = Hashtbl.create 64 in
+    fun (t : traced) ->
+      let key = t.clone.Repolib.Analyzer.class_key in
+      let same (t0, _) =
+        fst t0.examples == fst t.examples && snd t0.examples == snd t.examples
+      in
+      match List.find_opt same (Hashtbl.find_all memo key) with
+      | Some (t0, r) ->
+        (match
+           renaming ~from:t0.clone.Repolib.Analyzer.files
+             ~into:t.clone.Repolib.Analyzer.files
+         with
+         | None -> r
+         | Some renaming -> rename renaming r)
+      | None ->
+        let r = compute t in
+        Hashtbl.add memo key (t, r);
+        r
+  in
+  let cover mode compute =
+    per_class (fun t -> compute (instance ~mode t)) rename_dnf
+  in
+  let with_dnf dnf_of =
     List.map
       (fun t ->
         if t.pruned then pruned_ranked t
         else
-          let pos, neg = featurized ~mode t in
-          let inst = Dnf.make_instance ~positives:pos ~negatives:neg in
-          let dnf = compute inst in
+          let dnf = dnf_of t in
           { traced = t; dnf; score = dnf_score dnf })
       traceds
   in
   let ranked =
     match method_ with
-    | DNF_S -> with_dnf `All (Dnf.best_k_concise ~k ~theta)
-    | DNF_C -> with_dnf `All (Dnf.best_complete ~theta)
-    | RET -> with_dnf `Returns_only (Dnf.best_k_concise ~k ~theta)
+    | DNF_S -> with_dnf (cover `All (Dnf.best_k_concise ~k ~theta))
+    | DNF_C -> with_dnf (fun t -> Dnf.best_complete ~theta (instance ~mode:`All t))
+    | RET -> with_dnf (cover `Returns_only (Dnf.best_k_concise ~k ~theta))
     | LR ->
-      List.map
-        (fun t ->
-          if t.pruned then { (pruned_ranked t) with score = neg_infinity }
-          else
+      let lr =
+        per_class
+          (fun t ->
             let pos, neg = featurized ~mode:`All t in
             let model = Lr.train ~positives:pos ~negatives:neg () in
             let score = Lr.separation_score model ~positives:pos ~negatives:neg in
             (* The DNF is still computed so users get an explanation and a
                synthesizable artifact; only the ranking score differs. *)
             let inst = Dnf.make_instance ~positives:pos ~negatives:neg in
-            { traced = t; dnf = Dnf.best_k_concise ~k ~theta inst; score })
+            (Dnf.best_k_concise ~k ~theta inst, score))
+          (fun renaming (dnf, score) -> (rename_dnf renaming dnf, score))
+      in
+      List.map
+        (fun t ->
+          if t.pruned then { (pruned_ranked t) with score = neg_infinity }
+          else
+            let dnf, score = lr t in
+            { traced = t; dnf; score })
         traceds
     | KW ->
       (* TF-IDF keyword match over function "documents" (name, enclosing
@@ -220,6 +484,7 @@ let rank_one ?(k = 3) ?(theta = 0.3) (method_ : method_) ~query
         docs;
       let n_docs = List.length docs in
       let qtoks = Repolib.Search.tokenize query in
+      let dnf_of = cover `All (Dnf.best_k_concise ~k ~theta) in
       List.map2
         (fun t doc ->
           let score =
@@ -236,10 +501,7 @@ let rank_one ?(k = 3) ?(theta = 0.3) (method_ : method_) ~query
               0.0 qtoks
           in
           if t.pruned then { (pruned_ranked t) with score }
-          else
-            let pos, neg = featurized ~mode:`All t in
-            let inst = Dnf.make_instance ~positives:pos ~negatives:neg in
-            { traced = t; dnf = Dnf.best_k_concise ~k ~theta inst; score })
+          else { traced = t; dnf = dnf_of t; score })
         traceds docs
   in
   (* Ties are broken by a deterministic hash of the candidate id, not by

@@ -40,6 +40,29 @@ val absint_facts : Candidate.t -> Absint.Domain.facts
     provably the function the driver invokes); everything else gets
     {!Absint.Domain.unknown_facts}.  Memoized; thread-safe. *)
 
+type clone = {
+  class_key : string;
+      (** equal keys mean equal runs: same trace and step count on every
+          input, up to the file names of the trace sites *)
+  files : string list;
+      (** the files of the candidate's closure, by closure position:
+          two members of one class rename sites into each other's
+          through the files at equal positions *)
+}
+
+val clone : Candidate.t -> clone
+(** The candidate's clone class (DESIGN.md §7).  The key covers the
+    entry function and its transitive module-level callees and
+    constants, with def names erased and files replaced by their
+    closure positions; how every free name resolves (builtin, function
+    bound once, literal bound once); the invocation plan with names
+    erased; and how the closure's file names sort against each other
+    and against ["<output>"].  Anything the key cannot resolve —
+    class and script plans, [global], a name bound twice, load-time
+    code before a binding — is a class of its own, keyed by
+    {!Candidate.key} with no files.  The interpreter config is not part
+    of the key: callers add it.  Memoized; thread-safe. *)
+
 val repo_diagnostics : Repo.t -> Staticcheck.Diag.t list
 (** All lint diagnostics for a repository: E100 parse errors for
     files that fail to parse plus the five {!Staticcheck} passes over

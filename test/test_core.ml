@@ -372,6 +372,55 @@ let test_trace_cache_keys_plans () =
         (List.nth cached i = List.nth uncached i))
     plans
 
+(* The clone key must follow free names.  One helper file sits in
+   three repositories: [b] rebinds at module level the name [LIMIT]
+   the helper reads, [c] is a plain copy of [a] under other file names.
+   [a] and [c] share a class and [c] gets [a]'s traces renamed; [b] is
+   a class of its own, and its traces differ. *)
+let test_clone_key_resolves_free_names () =
+  let helper dir =
+    { Repolib.Repo.path = dir ^ "/helper.py";
+      source =
+        "def helper_check(s):\n\
+        \    if len(s) > LIMIT:\n\
+        \        return False\n\
+        \    return s.isdigit()\n" }
+  in
+  let conf dir v =
+    { Repolib.Repo.path = dir ^ "/conf.py"; source = "LIMIT = " ^ v ^ "\n" }
+  in
+  let repo name files =
+    let r = Repolib.Repo.make ("t/" ^ name) "helper copies" files in
+    List.find
+      (fun c -> c.Repolib.Candidate.func_name = "helper_check")
+      (Repolib.Analyzer.candidates_of_repo r)
+  in
+  let a = repo "clone-a" [ conf "a" "8"; helper "a" ] in
+  let b = repo "clone-b" [ conf "b" "8"; helper "b"; conf "b2" "3" ] in
+  let c = repo "clone-c" [ conf "c" "8"; helper "c" ] in
+  let key = Autotype_core.Ranking.class_key in
+  Alcotest.(check string) "a copy shares the class" (key a) (key c);
+  Alcotest.(check bool) "a rebinding splits the class" true (key a <> key b);
+  let positives = [ "12345"; "1234567890" ] and negatives = [ "12a45" ] in
+  let cache = Autotype_core.Ranking.cache_create () in
+  let traces ?cache c =
+    let t =
+      Autotype_core.Ranking.trace_candidate ?cache c ~positives ~negatives
+    in
+    (t.Autotype_core.Ranking.pos_raw, t.Autotype_core.Ranking.neg_raw,
+     t.Autotype_core.Ranking.steps)
+  in
+  let ta = traces ~cache a and tb = traces ~cache b and tc = traces ~cache c in
+  Alcotest.(check bool) "the split class traces differently" true (ta <> tb);
+  Alcotest.(check bool) "b's cached traces are its own" true (tb = traces b);
+  Alcotest.(check bool) "c's shared traces are its own" true (tc = traces c);
+  Alcotest.(check bool) "c's traces name c's files" true
+    (List.exists
+       (List.exists (function
+         | Minilang.Trace.Branch (s, _) -> s.s_file = "c/helper.py"
+         | _ -> false))
+       (let p, _, _ = tc in p))
+
 let suite =
   [
     ("bitset", `Quick, test_bitset);
@@ -396,4 +445,6 @@ let suite =
     ("lr chance on identical traces", `Quick, test_lr_chance_on_identical);
     ("trace cache keeps plans of one function apart", `Quick,
      test_trace_cache_keys_plans);
+    ("clone key resolves free names", `Quick,
+     test_clone_key_resolves_free_names);
   ]

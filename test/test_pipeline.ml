@@ -199,8 +199,8 @@ let test_parallel_matches_sequential () =
 
 let test_positives_traced_once () =
   (* The trace cache must interpret each positive at most once per
-     candidate per synthesize call, across every S1→S2→S3 attempt, and
-     duplicate negatives must be served from the cache. *)
+     clone class per synthesize call, across every S1→S2→S3 attempt,
+     and duplicate negatives must be served from the cache. *)
   Telemetry.reset ();
   Telemetry.enable ();
   let o = synthesize "email" in
@@ -209,10 +209,17 @@ let test_positives_traced_once () =
   let counter = Telemetry.find_counter snap in
   let attempts = counter "pipeline.strategy_attempts" in
   Alcotest.(check bool) "email escalates past S1" true (attempts >= 2);
-  (* Positives run exactly once per candidate even though [attempts]
-     strategy rounds each asked for their traces. *)
-  Alcotest.(check int) "positive runs = candidates * positives"
-    (o.Autotype_core.Pipeline.candidates_tried * 20)
+  (* Every candidate is its class's representative or a member that
+     shares the representative's runs. *)
+  Alcotest.(check int) "classes + shared members = candidates"
+    o.Autotype_core.Pipeline.candidates_tried
+    (counter "ranking.clone_classes" + counter "ranking.clone_members_shared");
+  Alcotest.(check bool) "email has clones" true
+    (counter "ranking.clone_members_shared" > 0);
+  (* Positives run exactly once per class even though [attempts]
+     strategy rounds each asked for every member's traces. *)
+  Alcotest.(check int) "positive runs = classes * positives"
+    (counter "ranking.clone_classes" * 20)
     (counter "ranking.positive_runs");
   Alcotest.(check bool) "cache served repeat traces" true
     (counter "ranking.trace_cache_hits" > 0);
@@ -230,12 +237,93 @@ let test_positives_traced_once () =
     (counter "interp.runs");
   Telemetry.reset ()
 
+(* The oracle of clone sharing: on the bench's 4-type workload, every
+   member of every clone class, run directly through the driver on the
+   positives and the final negatives, gives the trace and step count of
+   its class's first member with the sites renamed, file by closure
+   position, and the traces the cache handed out are exactly those. *)
+let test_clone_classes_match_direct_runs () =
+  List.iter
+    (fun type_id ->
+      let o = synthesize type_id in
+      let positives = o.Autotype_core.Pipeline.positives
+      and negatives = o.Autotype_core.Pipeline.negatives in
+      let input_len =
+        List.fold_left (fun n s -> max n (String.length s)) 0
+          (positives @ negatives)
+      in
+      let run c e =
+        let config = Repolib.Driver.config_for ~input_len c in
+        Repolib.Driver.run_safe ~config c e
+      in
+      let classes = Hashtbl.create 64 in
+      List.iter
+        (fun (t : Autotype_core.Ranking.traced) ->
+          let key = t.clone.Repolib.Analyzer.class_key in
+          Hashtbl.replace classes key
+            (t :: Option.value ~default:[] (Hashtbl.find_opt classes key)))
+        o.Autotype_core.Pipeline.traceds;
+      let shared = ref 0 in
+      Hashtbl.iter
+        (fun _ members ->
+          match List.rev members with
+          | [] -> ()
+          | (rep : Autotype_core.Ranking.traced) :: _ as members ->
+            let rep_runs = List.map (run rep.candidate) (positives @ negatives) in
+            List.iter
+              (fun (m : Autotype_core.Ranking.traced) ->
+                if m != rep then incr shared;
+                let map =
+                  List.combine rep.clone.Repolib.Analyzer.files
+                    m.clone.Repolib.Analyzer.files
+                in
+                let site (s : Minilang.Trace.site) =
+                  match List.assoc_opt s.s_file map with
+                  | Some f -> { s with s_file = f }
+                  | None -> s
+                in
+                let rename =
+                  List.map (function
+                    | Minilang.Trace.Branch (s, b) -> Minilang.Trace.Branch (site s, b)
+                    | Minilang.Trace.Return (s, r) -> Minilang.Trace.Return (site s, r)
+                    | Minilang.Trace.Assign (s, n, v) ->
+                      Minilang.Trace.Assign (site s, n, v)
+                    | Minilang.Trace.Exception _ as e -> e)
+                in
+                let name = Repolib.Candidate.key m.candidate in
+                let direct =
+                  List.map2
+                    (fun e (r : Minilang.Interp.run_result) ->
+                      let d = run m.candidate e in
+                      if d.trace <> rename r.trace || d.steps_used <> r.steps_used
+                      then
+                        Alcotest.failf "%s: %s on %S runs unlike its class" type_id
+                          name e;
+                      d.trace)
+                    (positives @ negatives) rep_runs
+                in
+                let n_pos = List.length positives in
+                Alcotest.(check bool)
+                  (name ^ ": cached positive traces") true
+                  (m.pos_raw = List.filteri (fun i _ -> i < n_pos) direct);
+                if not m.pruned then
+                  Alcotest.(check bool)
+                    (name ^ ": cached negative traces") true
+                    (m.neg_raw = List.filteri (fun i _ -> i >= n_pos) direct))
+              members)
+        classes;
+      Alcotest.(check bool) (type_id ^ ": some classes have members") true
+        (!shared > 0))
+    [ "credit-card"; "ipv4"; "email"; "isbn" ]
+
 let suite =
   [
     ("credit card end-to-end", `Slow, test_credit_card_end_to_end);
     ("telemetry instrumentation", `Slow, test_telemetry_instrumentation);
     ("parallel matches sequential", `Slow, test_parallel_matches_sequential);
     ("positives traced once", `Slow, test_positives_traced_once);
+    ("clone classes match direct runs", `Slow,
+     test_clone_classes_match_direct_runs);
     ("ipv6 escalates to S2", `Slow, test_ipv6_uses_s2);
     ("closed-alphabet types escalate", `Slow, test_gene_sequence_needs_s3);
     ("several popular types", `Slow, test_several_popular_types);
