@@ -3,24 +3,27 @@
     Supports the subset of syntax that appears in real-world
     type-validation code and in Potter's-Wheel-style inferred patterns:
 
-    - literals, [.], escapes [\d \D \w \W \s \S], character classes
+    - literals, [.] (any character but a newline), escapes [\d \D \w \W \s \S], character classes
       [[a-z0-9_]] with negation [[^...]] and ranges,
     - grouping [( )], alternation [|],
-    - quantifiers [* + ?] and bounded repetition [{m}] [{m,n}] [{m,}],
+    - quantifiers [* + ?] and bounded repetition [{m}] [{m,n}] [{m,}]
+      [{,n}], each greedy or lazy ([*?] [+?] [??] [{m,n}?]),
     - anchors [^] and [$].
 
     Used both by MiniScript's [re_match]/[re_search] builtins (mined code
     frequently validates with regexes, Section 8.2.2) and by the REGEX
     baseline of Section 9, so it must answer as CPython's [re] does:
-    repetition follows CPython's [MAX_UNTIL] rule (see {!rinstr}). *)
+    repetition follows CPython's [MAX_UNTIL] and [MIN_UNTIL] rules (see
+    {!rinstr}), a [{] that starts no repeat is a literal, and [$] also
+    matches before a final newline. *)
 
 type node =
   | Lit of char
   | Any
   | Class of (char * char) list * bool  (** ranges, negated? *)
-  | Repeat of node * int * int option
-      (** [{m,n}]; [None] = unbounded.  [*] [+] [?] parse to [{0,}]
-          [{1,}] [{0,1}] *)
+  | Repeat of node * int * int option * bool
+      (** [{m,n}]; [None] = unbounded; greedy?  [*] [+] [?] parse to
+          [{0,}] [{1,}] [{0,1}] *)
   | Seq of node list
   | Alt of node list
   | Bol
@@ -44,9 +47,11 @@ let max_count = 4_294_967_294
    than [lo] done) always runs; an optional one runs first and leaves
    the exit as the backtrack point, but never starts at the position
    where the previous optional iteration started, which is what stops
-   a nullable body from looping.  Repetition over one
-   character is a single [RScan].  No instruction count depends on a
-   repeat count. *)
+   a nullable body from looping.  A lazy loop ([MIN_UNTIL]) asks the
+   same question in the other order: [RTestLazy] leaves by the exit and
+   keeps the next optional iteration, which [RIterate] starts, as the
+   backtrack point.  Repetition over one character is a single [RScan]
+   or [RScanLazy].  No instruction count depends on a repeat count. *)
 type rinstr =
   | RChar of char
   | RClass of Bytes.t  (** 256-entry membership table *)
@@ -60,10 +65,21 @@ type rinstr =
           character class: consume up to [max] class characters in a
           tight loop, fail below [min], and leave one range-backtrack
           entry that retreats a character at a time down to [min] *)
+  | RScanLazy of Bytes.t * int * int
+      (** lazy [RScan]: consume [min] class characters, then go on, and
+          leave one range-backtrack entry that advances a character at a
+          time up to [max] *)
   | RLoop  (** push a loop frame: no iterations, no optional start *)
   | RTest of int * int * int
       (** [lo], [hi] ([-1]: unbounded), exit pc: start the next
           iteration, or pop the frame and leave *)
+  | RTestLazy of int * int * int
+      (** lazy [RTest]: start a mandatory iteration (jumping over the
+          [RIterate] that follows), or pop the frame and leave, keeping
+          an optional iteration as the backtrack point *)
+  | RIterate
+      (** start the optional iteration a lazy loop kept: record where
+          it starts, count it *)
   | RAccept  (** succeed; under [full] only at the end of the input *)
 
 type t = {
@@ -166,16 +182,53 @@ let rec parse (pattern : string) : t =
     loop true;
     Class (List.rev !ranges, negated)
   in
-  let parse_int () =
-    let start = !pos in
-    let v = ref 0 in
-    while (match peek () with Some c when c >= '0' && c <= '9' -> true | _ -> false) do
-      v := (10 * !v) + Char.code pattern.[!pos] - Char.code '0';
-      if !v > max_count then raise (Parse_error "repetition count too large");
-      advance ()
-    done;
-    if !pos = start then raise (Parse_error "expected number in repetition");
-    !v
+  (* CPython's repeat syntax at the ['{'] under [!pos]: [{m}], [{m,}],
+     [{,n}], [{m,n}] or [{,}].  [None], consuming nothing, when the
+     brace starts no repeat, as in [a{], [x{a}] or [a{}]: it is then a
+     literal. *)
+  let repeat_syntax () =
+    let here = !pos in
+    let digits () =
+      let start = !pos in
+      while (match peek () with Some '0' .. '9' -> true | _ -> false) do
+        advance ()
+      done;
+      String.sub pattern start (!pos - start)
+    in
+    let count d =
+      match int_of_string_opt d with
+      | Some v when v <= max_count -> v
+      | _ -> raise (Parse_error "repetition count too large")
+    in
+    advance ();
+    let lo = digits () in
+    let hi = if peek () = Some ',' then (advance (); Some (digits ())) else None in
+    if peek () <> Some '}' || (lo = "" && hi = None) then begin
+      pos := here;
+      None
+    end
+    else begin
+      advance ();
+      let lo = if lo = "" then 0 else count lo in
+      let hi =
+        match hi with
+        | None -> Some lo
+        | Some "" -> None
+        | Some d -> Some (count d)
+      in
+      (match hi with
+       | Some h when h < lo -> raise (Parse_error "inverted repetition bounds")
+       | _ -> ());
+      Some (lo, hi)
+    end
+  in
+  let quantifier () =
+    match peek () with
+    | Some '*' -> advance (); Some (0, None)
+    | Some '+' -> advance (); Some (1, None)
+    | Some '?' -> advance (); Some (0, Some 1)
+    | Some '{' -> repeat_syntax ()
+    | _ -> None
   in
   let rec parse_alt () =
     let first = parse_seq () in
@@ -199,33 +252,24 @@ let rec parse (pattern : string) : t =
     | [ single ] -> single
     | items -> Seq items
   and parse_quantified () =
+    let anchor = match peek () with Some ('^' | '$') -> true | _ -> false in
     let atom = parse_atom () in
-    let rec apply atom =
-      match peek () with
-      | Some '*' -> advance (); apply (Repeat (atom, 0, None))
-      | Some '+' -> advance (); apply (Repeat (atom, 1, None))
-      | Some '?' -> advance (); apply (Repeat (atom, 0, Some 1))
-      | Some '{' ->
-        advance ();
-        let m = parse_int () in
-        let node =
-          match peek () with
-          | Some '}' -> advance (); Repeat (atom, m, Some m)
-          | Some ',' ->
-            advance ();
-            (match peek () with
-             | Some '}' -> advance (); Repeat (atom, m, None)
-             | _ ->
-               let hi = parse_int () in
-               eat '}';
-               if hi < m then raise (Parse_error "inverted repetition bounds");
-               Repeat (atom, m, Some hi))
-          | _ -> raise (Parse_error "malformed repetition")
-        in
-        apply node
-      | _ -> atom
-    in
-    apply atom
+    match quantifier () with
+    | None -> atom
+    | Some _ when anchor -> raise (Parse_error "nothing to repeat")
+    | Some (lo, hi) ->
+      let greedy = if peek () = Some '?' then (advance (); false) else true in
+      (* A quantifier right after a quantifier is CPython's "multiple
+         repeat", except one [+] after a greedy one: CPython 3.11 reads
+         [a*+] as possessive, this library as a second repeat. *)
+      let rec more node ~plus =
+        match peek () with
+        | Some '+' when plus -> advance (); more (Repeat (node, 1, None, true)) ~plus:false
+        | Some ('*' | '+' | '?') -> raise (Parse_error "multiple repeat")
+        | Some '{' when repeat_syntax () <> None -> raise (Parse_error "multiple repeat")
+        | _ -> node
+      in
+      more (Repeat (atom, lo, hi, greedy)) ~plus:greedy
   and parse_atom () =
     match peek () with
     | None -> raise (Parse_error "unexpected end of pattern")
@@ -245,6 +289,8 @@ let rec parse (pattern : string) : t =
     | Some '$' -> advance (); Eol
     | Some ('*' | '+' | '?') ->
       raise (Parse_error "quantifier with nothing to repeat")
+    | Some '{' when repeat_syntax () <> None ->
+      raise (Parse_error "nothing to repeat")
     | Some c -> advance (); Lit c
   in
   let ast = parse_alt () in
@@ -275,6 +321,7 @@ and compile ast pattern =
       false
     | Any ->
       Bytes.fill tbl 0 256 '\001';
+      Bytes.set tbl (Char.code '\n') '\000';
       false
     | Class (ranges, negated) ->
       let cls = class_table ranges negated in
@@ -286,7 +333,7 @@ and compile ast pattern =
     | Seq items -> List.for_all (fun g -> first_of g tbl) items
     | Alt alts ->
       List.fold_left (fun nullable a -> first_of a tbl || nullable) false alts
-    | Repeat (g, lo, _) -> first_of g tbl || lo = 0
+    | Repeat (g, lo, _, _) -> first_of g tbl || lo = 0
   in
   let tbl = Bytes.make 256 '\000' in
   let nullable = first_of ast tbl in
@@ -297,7 +344,7 @@ and compile ast pattern =
     | Bol -> true
     | Seq (g :: _) -> leading_bol g
     | Alt (_ :: _ as alts) -> List.for_all leading_bol alts
-    | Repeat (g, lo, _) -> lo > 0 && leading_bol g
+    | Repeat (g, lo, _, _) -> lo > 0 && leading_bol g
     | _ -> false
   in
   {
@@ -328,7 +375,7 @@ and lower (ast : node) : rinstr array =
       let t = Bytes.make 256 '\000' in
       Bytes.set t (Char.code c) '\001';
       Some t
-    | Any -> Some (Bytes.make 256 '\001')
+    | Any -> Some (class_table [ ('\n', '\n') ] true)
     | _ -> None
   in
   let rec go node =
@@ -351,21 +398,29 @@ and lower (ast : node) : rinstr array =
           j :: alt rest
       in
       List.iter (fun j -> patch j (RJmp !len)) (alt alts)
-    | Repeat (g, lo, hi) -> (
+    | Repeat (g, lo, hi, greedy) -> (
       let hi = Option.value hi ~default:(-1) in
       match scan_tbl g with
-      | Some tbl -> ignore (emit (RScan (tbl, lo, hi)))
+      | Some tbl ->
+        ignore (emit (if greedy then RScan (tbl, lo, hi) else RScanLazy (tbl, lo, hi)))
       | None when lo = 0 && hi = 1 ->
         (* One optional iteration: the last-start rule cannot apply. *)
         let sp = emit (RSplit (0, 0)) in
         go g;
-        patch sp (RSplit (sp + 1, !len))
-      | None ->
+        patch sp (if greedy then RSplit (sp + 1, !len) else RSplit (!len, sp + 1))
+      | None when greedy ->
         ignore (emit RLoop);
         let test = emit (RTest (0, 0, 0)) in
         go g;
         ignore (emit (RJmp test));
-        patch test (RTest (lo, hi, !len)))
+        patch test (RTest (lo, hi, !len))
+      | None ->
+        ignore (emit RLoop);
+        let test = emit (RTestLazy (0, 0, 0)) in
+        ignore (emit RIterate);
+        go g;
+        ignore (emit (RJmp test));
+        patch test (RTestLazy (lo, hi, !len)))
   in
   go ast;
   ignore (emit RAccept);
@@ -390,10 +445,11 @@ let rbufs_key : rbufs Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { bt = Array.make 192 0; aux = Array.make 64 0 })
 
 (* Backtrack entries are (pc, pos, nad) triples.  A pc below [-1] tags
-   a range entry from [RScan]: pc is [-(continuation) - 1], pos is the
-   next (longest untried) scan end, and the third slot packs the saved
-   aux depth with the minimum scan end — retreating reuses the entry in
-   place until the minimum is reached.  Positions and aux depths stay
+   a range entry from the [RScan] or [RScanLazy] at [-pc - 2]: pos is
+   the next untried scan end, and the third slot packs the saved aux
+   depth with the last scan end to try (the minimum for [RScan], the
+   maximum for [RScanLazy]) — retreating or advancing reuses the entry
+   in place until that end is reached.  Positions and aux depths stay
    far below 2^31 in practice (inputs are cell values, depth is bounded
    by pattern nesting), so the packing never overflows a 63-bit int.
 
@@ -431,14 +487,31 @@ let exec ~fuel (prog : rinstr array) ~full (s : string) (start : int) :
         fail ()
       end
       else begin
+        let scan = -tag - 2 in
         let cur = Array.unsafe_get a (top + 1) in
         let packed = Array.unsafe_get a (top + 2) in
-        pc := -tag - 1;
-        pos := cur;
-        nad := packed lsr 31;
-        if cur > packed land 0x7FFF_FFFF then
-          Array.unsafe_set a (top + 1) (cur - 1)
-        else decr nbt
+        let last = packed land 0x7FFF_FFFF in
+        match Array.unsafe_get prog scan with
+        | RScanLazy (tbl, _, _) ->
+          (* [cur] ends the scan so far: take one more character. *)
+          if Bytes.unsafe_get tbl (Char.code (String.unsafe_get s cur)) = '\000'
+          then begin
+            decr nbt;
+            fail ()
+          end
+          else begin
+            pc := scan + 1;
+            pos := cur + 1;
+            nad := packed lsr 31;
+            if cur + 1 < last then Array.unsafe_set a (top + 1) (cur + 1)
+            else decr nbt
+          end
+        | _ ->
+          pc := scan + 1;
+          pos := cur;
+          nad := packed lsr 31;
+          if cur > last then Array.unsafe_set a (top + 1) (cur - 1)
+          else decr nbt
       end
     end
   in
@@ -484,13 +557,16 @@ let exec ~fuel (prog : rinstr array) ~full (s : string) (start : int) :
       end
       else fail ()
     | RAny ->
-      if !pos < n then begin
+      if !pos < n && String.unsafe_get s !pos <> '\n' then begin
         incr pos;
         incr pc
       end
       else fail ()
     | RBol -> if !pos = 0 then incr pc else fail ()
-    | REol -> if !pos = n then incr pc else fail ()
+    | REol ->
+      if !pos = n || (!pos = n - 1 && String.unsafe_get s !pos = '\n') then
+        incr pc
+      else fail ()
     | RSplit (first, second) ->
       push_bt second !pos !nad;
       pc := first
@@ -510,9 +586,27 @@ let exec ~fuel (prog : rinstr array) ~full (s : string) (start : int) :
       let floor = lo + min in
       if !j < floor then fail ()
       else begin
-        if !j > floor then
-          push_bt (-(!pc + 1) - 1) (!j - 1) ((!nad lsl 31) lor floor);
+        if !j > floor then push_bt (-(!pc) - 2) (!j - 1) ((!nad lsl 31) lor floor);
         pos := !j;
+        incr pc
+      end
+    | RScanLazy (tbl, min, max) ->
+      let lo = !pos in
+      let limit = if max < 0 || lo + max > n then n else lo + max in
+      let floor = lo + min in
+      let j = ref lo in
+      while
+        !j < floor && !j < n
+        && Bytes.unsafe_get tbl (Char.code (String.unsafe_get s !j)) <> '\000'
+      do
+        incr j
+      done;
+      fuel := !fuel - min;
+      if !fuel <= 0 then raise Out_of_fuel;
+      if !j < floor then fail ()
+      else begin
+        if floor < limit then push_bt (-(!pc) - 2) floor ((!nad lsl 31) lor limit);
+        pos := floor;
         incr pc
       end
     | RLoop ->
@@ -537,6 +631,22 @@ let exec ~fuel (prog : rinstr array) ~full (s : string) (start : int) :
         nad := !nad - 2;
         pc := exit
       end
+    | RTestLazy (lo, hi, exit) ->
+      let count = b.aux.(!nad - 2) in
+      if count < lo then begin
+        set_aux (!nad - 2) (count + 1);
+        pc := !pc + 2
+      end
+      else begin
+        if (hi < 0 || count < hi) && !pos <> b.aux.(!nad - 1) then
+          push_bt (!pc + 1) !pos !nad;
+        nad := !nad - 2;
+        pc := exit
+      end
+    | RIterate ->
+      set_aux (!nad - 1) !pos;
+      set_aux (!nad - 2) (b.aux.(!nad - 2) + 1);
+      incr pc
     | RAccept -> if full && !pos <> n then fail () else result := !pos
   done;
   if !result >= 0 then Some !result else None
@@ -555,7 +665,7 @@ let match_prefix re s = match_at re s 0
 (** Does the pattern match the entire string? (Python [re.fullmatch].)
     One anchored run that accepts only at the end of [s]: backtracking
     finds a full-length match iff one exists. *)
-let full_match re s = run ~fuel:default_fuel re ~full:true s 0 <> None
+let full_match ?(fuel = default_fuel) re s = run ~fuel re ~full:true s 0 <> None
 
 (** First position at which the pattern matches (Python [re.search]).
     Returns (start, end) offsets.  Anchored patterns get a single

@@ -1,9 +1,10 @@
 (** Continuation-passing matcher over the parsed {!Regexlite.node}
     tree: the executable reference the library's compiled program is
     checked against.  It states the repeat rule the way CPython's
-    [MAX_UNTIL] does — mandatory iterations always run, an optional one
-    never starts where the previous optional one started — with no
-    program, no stacks, no skip tables and no fuel. *)
+    [MAX_UNTIL] and [MIN_UNTIL] do — mandatory iterations always run, an
+    optional one never starts where the previous optional one started,
+    and a greedy repeat tries it before what follows, a lazy one after —
+    with no program, no stacks, no skip tables and no fuel. *)
 
 open Regexlite
 
@@ -20,25 +21,27 @@ let match_at (re : Regexlite.t) ~full (s : string) (start : int) : int option
   let rec m node i (k : int -> bool) : bool =
     match node with
     | Lit c -> i < n && s.[i] = c && k (i + 1)
-    | Any -> i < n && k (i + 1)
+    | Any -> i < n && s.[i] <> '\n' && k (i + 1)
     | Class (ranges, negated) ->
       i < n && in_class ranges negated s.[i] && k (i + 1)
     | Bol -> i = 0 && k i
-    | Eol -> i = n && k i
+    | Eol -> (i = n || (i = n - 1 && s.[i] = '\n')) && k i
     | Seq items ->
       let rec seq items i =
         match items with [] -> k i | g :: rest -> m g i (seq rest)
       in
       seq items i
     | Alt alts -> List.exists (fun g -> m g i k) alts
-    | Repeat (g, lo, hi) ->
+    | Repeat (g, lo, hi, greedy) ->
       let rec rep count last i =
         if count < lo then m g i (rep (count + 1) last)
         else
-          ((match hi with None -> true | Some h -> count < h)
-          && i <> last
-          && m g i (rep (count + 1) i))
-          || k i
+          let again () =
+            (match hi with None -> true | Some h -> count < h)
+            && i <> last
+            && m g i (rep (count + 1) i)
+          in
+          if greedy then again () || k i else k i || again ()
       in
       rep 0 (-1) i
   in

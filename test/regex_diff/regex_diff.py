@@ -2,19 +2,21 @@
 """Differential test of Regexlite against CPython's `re` (`make regex-diff`).
 
 Generates seeded random patterns over `a`/`b` with every quantifier
-form (`* + ? {m} {m,n} {m,}`) over every kind of body, nullable bodies
-and empty alternatives included, and random short inputs.  Each
-(pattern, input) pair is answered by CPython (`re.match` end,
-`re.fullmatch`, `re.search` span) and by the library through
-`regex_diff.exe`, and the answers are compared.
+form (`* + ? {m} {m,n} {m,} {,n}`), greedy and lazy, over every kind
+of body, nullable bodies and empty alternatives included, plus `{`
+and `}` atoms that start no repeat, and random short inputs over
+`a`/`b`/`{`, some with a final newline.  Each (pattern, input) pair
+is answered by CPython (`re.match` end, `re.fullmatch`, `re.search`
+span) and by the library through `regex_diff.exe`, and the answers
+are compared.  Inputs go to `regex_diff.exe` one per line with a
+newline written as `\\n` (no generated input holds a backslash).
 
 Two kinds of pair are left out, counted and printed:
   - CPython runs past 0.2 s on it (an interval timer interrupts `re`);
   - the library's answer changes under 100x its default fuel.
 
-Exits 1 on any other disagreement.  Lazy quantifiers, `$` before a
-final newline, `{,n}` and a literal `{` are outside the generated
-syntax.
+Exits 1 on any other disagreement.  CPython 3.11's possessive
+repeats (`a*+`) are outside the generated syntax.
 
 usage: regex_diff.py [path/to/regex_diff.exe]
 """
@@ -35,25 +37,29 @@ DEFAULT_EXE = "_build/default/test/regex_diff/regex_diff.exe"
 
 def gen_pattern(rng, depth=2):
     def quant():
-        k = rng.randrange(12)
+        k = rng.randrange(13)
         if k == 0:
-            return "*"
-        if k == 1:
-            return "+"
-        if k == 2:
-            return "?"
-        if k == 3:
-            return "{%d}" % rng.randrange(3)
-        if k == 4:
+            q = "*"
+        elif k == 1:
+            q = "+"
+        elif k == 2:
+            q = "?"
+        elif k == 3:
+            q = "{%d}" % rng.randrange(3)
+        elif k == 4:
             m = rng.randrange(3)
-            return "{%d,%d}" % (m, m + rng.randrange(3))
-        if k in (5, 6):
-            return "{%d,}" % rng.randrange(3)
-        return ""
+            q = "{%d,%d}" % (m, m + rng.randrange(3))
+        elif k in (5, 6):
+            q = "{%d,}" % rng.randrange(3)
+        elif k == 7:
+            q = "{,%d}" % rng.randrange(3)
+        else:
+            return ""
+        return q + "?" if rng.randrange(3) == 0 else q
 
     def node(depth):
         if depth == 0 or rng.randrange(3) > 0:
-            atom = rng.choice(("a", "b", "[ab]", "."))
+            atom = rng.choice(("a", "b", "[ab]", ".", "a", "b", "{", "}"))
         else:
             alts = [seq(depth - 1) for _ in range(1 + rng.randrange(3))]
             atom = "(" + "|".join(alts) + ")"
@@ -105,8 +111,10 @@ def main():
             pat = gen_pattern(rng)
             for _ in range(INPUTS_PER_PATTERN):
                 s = "".join(
-                    rng.choice("ab") for _ in range(rng.randrange(MAX_INPUT_LEN + 1))
+                    rng.choice("aaabbb{") for _ in range(rng.randrange(MAX_INPUT_LEN + 1))
                 )
+                if rng.randrange(4) == 0:
+                    s += "\n"
                 try:
                     want = cpython_answer(pat, s)
                 except Timeout:
@@ -114,7 +122,7 @@ def main():
                     continue
                 cases.append((pat, s))
                 expected.append(want)
-    stdin = "".join("%s\t%s\n" % c for c in cases)
+    stdin = "".join("%s\t%s\n" % (pat, s.replace("\n", "\\n")) for pat, s in cases)
     out = subprocess.run(
         [exe], input=stdin, capture_output=True, text=True, check=True
     ).stdout.splitlines()

@@ -77,9 +77,11 @@ let test_parse_errors () =
       match Regexlite.parse p with
       | _ -> Alcotest.failf "expected parse error for %S" p
       | exception Regexlite.Parse_error _ -> ())
-    [ "a{3"; "[abc"; "(ab"; "*a"; "a{4,2}"; "a\\";
+    [ "[abc"; "(ab"; "*a"; "a{4,2}"; "a\\";
       (* Counts above CPython's limit of 4,294,967,294. *)
-      "a{99999999999999999999}"; "a{0,4294967295}" ]
+      "a{99999999999999999999}"; "a{0,4294967295}";
+      (* CPython's "multiple repeat" and "nothing to repeat". *)
+      "a**"; "a{2}*"; "a*{2}"; "a*??"; "a*?+"; "a{2}{3}"; "{3}"; "^*" ]
 
 let test_fuel_bound () =
   (* Catastrophic backtracking is bounded, not hanging. *)
@@ -112,7 +114,8 @@ let test_loop_state_on_backtrack () =
         Alcotest.(check (option int))
           (Printf.sprintf "%s match_prefix %S (%s)" pat s engine)
           prefix (match_prefix re s))
-      [ ("library", Regexlite.full_match, Regexlite.match_prefix);
+      [ ("library", (fun re s -> Regexlite.full_match re s),
+         Regexlite.match_prefix);
         ("oracle", Oracle_re.full_match, Oracle_re.match_prefix) ]
   in
   check "(aa|a)*ab" "aab" ~full:true ~prefix:(Some 3);
@@ -122,9 +125,10 @@ let test_loop_state_on_backtrack () =
     ~prefix:(Some 4)
 
 (* CPython's repeat rule, each case checked against CPython 3.11:
-   mandatory iterations run even when the body matches empty, and an
+   mandatory iterations run even when the body matches empty, an
    optional iteration never starts where the previous optional one
-   started. *)
+   started, and a lazy repeat tries what follows before each optional
+   iteration. *)
 let test_cpython_repeat_rule () =
   let prefix pat s expected =
     let re = Regexlite.parse pat in
@@ -149,6 +153,18 @@ let test_cpython_repeat_rule () =
   prefix "(|a)+" "aa" (Some 0);
   prefix "(|a){2,3}" "aaa" (Some 0);
   prefix "(a?a?){1,}" "aaa" (Some 3);
+  prefix "a*?" "aaa" (Some 0);
+  prefix "a+?" "aaa" (Some 1);
+  prefix "a??b" "ab" (Some 2);
+  prefix "a{2}?" "aaaa" (Some 2);
+  prefix "a{2,}?" "aaaa" (Some 2);
+  prefix "a{,2}?a" "aaa" (Some 1);
+  prefix "(aa)??a" "aaa" (Some 1);
+  prefix "(ab)+?" "ababab" (Some 2);
+  prefix "(a|ab)*?c" "ababc" (Some 5);
+  prefix "(a|b){1,3}?b" "aab" (Some 3);
+  prefix "(a?)*?b" "aab" (Some 3);
+  prefix "(|a)*?b" "ab" (Some 2);
   (* An unbounded repeat over a nullable body ends at once instead of
      spinning down the fuel. *)
   let t0 = Unix.gettimeofday () in
@@ -156,32 +172,67 @@ let test_cpython_repeat_rule () =
   Alcotest.(check bool) "((aa)?){2,} answers in well under a second" true
     (Unix.gettimeofday () -. t0 < 0.5)
 
+(* Braces and [$] as CPython 3.11 reads them: a [{] that starts no
+   repeat is a literal, [{,n}] is [{0,n}], and [$] also matches before
+   a final newline. *)
+let test_braces_and_eol () =
+  let prefix pat s expected =
+    let re = Regexlite.parse pat in
+    Alcotest.(check (option int))
+      (Printf.sprintf "%s match_prefix %S" pat s)
+      expected (Regexlite.match_prefix re s);
+    Alcotest.(check (option int))
+      (Printf.sprintf "%s match_prefix %S (oracle)" pat s)
+      expected (Oracle_re.match_prefix re s)
+  in
+  prefix "a{" "a{" (Some 2);
+  prefix "x{a}" "x{a}" (Some 4);
+  prefix "a{3" "a{3" (Some 3);
+  prefix "a{1,2" "a{1,2" (Some 5);
+  prefix "a{}" "a{}" (Some 3);
+  prefix "a{,3}" "aaaa" (Some 3);
+  prefix "a{,}" "aaa" (Some 3);
+  prefix "a$" "a\n" (Some 1);
+  prefix "a$" "a\n\n" None;
+  prefix "(a|ab)$" "ab\n" (Some 2);
+  let re = Regexlite.parse "a$" in
+  Alcotest.(check bool) "a$ does not fullmatch \"a\\n\"" false
+    (Regexlite.full_match re "a\n");
+  Alcotest.(check (option (pair int int))) "a$ searches \"ba\\n\"" (Some (1, 2))
+    (Regexlite.search re "ba\n")
+
 (* Seeded differential: random patterns over [a]/[b] with every
-   quantifier form over every body, each matched by the library and by
-   the oracle on random short inputs.  [node] and [seq] return a
-   pattern and whether it can match empty; [nullable_open] counts
-   [{m,}] over a nullable body and [empty_alt] groups with an empty
-   alternative, so the test shows it generates the shapes the
-   repeat rule decides. *)
+   quantifier form, greedy and lazy, over every body, each matched by
+   the library and by the oracle on random short inputs.  [node] and
+   [seq] return a pattern and whether it can match empty;
+   [nullable_open] counts [{m,}] over a nullable body and [empty_alt]
+   groups with an empty alternative, so the test shows it generates
+   the shapes the repeat rule decides. *)
 let gen_pattern rng ~nullable_open ~empty_alt =
   let pick arr = arr.(Random.State.int rng (Array.length arr)) in
   let quant body_nullable =
-    match Random.State.int rng 10 with
-    | 0 -> ("*", true)
-    | 1 -> ("+", body_nullable)
-    | 2 -> ("?", true)
-    | 3 ->
-      let m = Random.State.int rng 3 in
-      (Printf.sprintf "{%d}" m, m = 0 || body_nullable)
-    | 4 ->
-      let m = Random.State.int rng 3 in
-      ( Printf.sprintf "{%d,%d}" m (m + Random.State.int rng 3),
-        m = 0 || body_nullable )
-    | 5 ->
-      let m = Random.State.int rng 3 in
-      if body_nullable then incr nullable_open;
-      (Printf.sprintf "{%d,}" m, m = 0 || body_nullable)
-    | _ -> ("", body_nullable)
+    let q, nullable =
+      match Random.State.int rng 11 with
+      | 0 -> ("*", true)
+      | 1 -> ("+", body_nullable)
+      | 2 -> ("?", true)
+      | 3 ->
+        let m = Random.State.int rng 3 in
+        (Printf.sprintf "{%d}" m, m = 0 || body_nullable)
+      | 4 ->
+        let m = Random.State.int rng 3 in
+        ( Printf.sprintf "{%d,%d}" m (m + Random.State.int rng 3),
+          m = 0 || body_nullable )
+      | 5 ->
+        let m = Random.State.int rng 3 in
+        if body_nullable then incr nullable_open;
+        (Printf.sprintf "{%d,}" m, m = 0 || body_nullable)
+      | 6 -> (Printf.sprintf "{,%d}" (Random.State.int rng 3), true)
+      | _ -> ("", body_nullable)
+    in
+    (* A third of the quantifiers are lazy. *)
+    if q <> "" && Random.State.int rng 3 = 0 then (q ^ "?", nullable)
+    else (q, nullable)
   in
   let rec node depth =
     let atom, nullable =
@@ -277,6 +328,7 @@ let suite =
     ("fuel exhaustion is no match", `Quick, test_fuel_exhaustion_is_no_match);
     ("loop state survives backtracking", `Quick, test_loop_state_on_backtrack);
     ("CPython's repeat rule", `Quick, test_cpython_repeat_rule);
+    ("braces and $ as CPython reads them", `Quick, test_braces_and_eol);
     ("flat program agrees with the CPS executor", `Quick,
      test_flat_vs_cps_differential);
   ]
