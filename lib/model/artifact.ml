@@ -33,13 +33,18 @@ let m_load_failures = Telemetry.counter "model.load_failures"
 (* Compile: exporting                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Ship only what execution needs: sources and popularity metadata.
-   The README is dead weight and [truth] is evaluation ground truth
-   that must not leak into a served artifact. *)
+(* Ship only what execution needs: sources that parse (execution skips
+   the others, and a loaded artifact must parse whole) and popularity
+   metadata.  The README is dead weight and [truth] is evaluation
+   ground truth that must not leak into a served artifact. *)
 let slim_repo (repo : Repolib.Repo.t) : Repolib.Repo.t =
+  let _, skipped = Repolib.Repo.parse_each repo in
   Repolib.Repo.make ~readme:"" ~stars:repo.Repolib.Repo.stars ~truth:[]
     repo.Repolib.Repo.repo_name repo.Repolib.Repo.description
-    repo.Repolib.Repo.files
+    (List.filter
+       (fun (f : Repolib.Repo.file) ->
+         not (List.exists (fun (path, _, _) -> path = f.Repolib.Repo.path) skipped))
+       repo.Repolib.Repo.files)
 
 let of_synthesis ~provenance (syn : Autotype_core.Synthesis.t) : t =
   let candidate = syn.Autotype_core.Synthesis.candidate in
@@ -607,6 +612,23 @@ let load_error_to_string = function
     Printf.sprintf "model artifact payload is malformed (format v%d): %s"
       format_version msg
 
+(* A loaded model must not fail on every value it serves for a reason
+   visible at load: every embedded source parses (into the parse cache
+   that serving then reuses), and so does every regex of a compiled
+   tree. *)
+let check_loadable (t : artifact) : (artifact, load_error) result =
+  match Repolib.Repo.parse_each t.candidate.Repolib.Candidate.repo with
+  | _, (file, line, msg) :: _ ->
+    Error
+      (Malformed
+         (Printf.sprintf "embedded source %s:%d does not parse: %s" file line
+            msg))
+  | _, [] ->
+    (match t.summary with
+     | Some tree when Absint.Domain.prepare tree = None ->
+       Error (Malformed "a regex of the compiled tree does not parse")
+     | _ -> Ok t)
+
 let encode (t : artifact) : string =
   let payload = Jsonx.to_string (payload_of t) in
   let checksum = Digest.to_hex (Digest.string payload) in
@@ -645,7 +667,7 @@ let decode (contents : string) : (artifact, load_error) result =
              | Error msg -> Error (Malformed msg)
              | Ok j ->
                (match of_payload j with
-                | t -> Ok t
+                | t -> check_loadable t
                 | exception Jsonx.Decode_error msg -> Error (Malformed msg))
            end
        end

@@ -91,8 +91,10 @@ type load_error =
   | Version_unsupported of { found : int; supported : int }
   | Checksum_mismatch of { expected : string; actual : string }
       (** truncated or corrupted payload *)
-  | Malformed of string  (** checksum passed but the payload is not a
-                             well-formed artifact (writer bug) *)
+  | Malformed of string
+      (** checksum passed but the payload is not a well-formed artifact
+          (writer bug), or an embedded source (named with its line) or
+          a compiled tree's regex does not parse *)
 
 val load_error_to_string : load_error -> string
 (** One-line diagnosis; always names the artifact format version
@@ -102,6 +104,10 @@ val encode : t -> string
 (** The full file contents (header + payload + newline). *)
 
 val decode : string -> (t, load_error) result
+(** Also parses every embedded source, through {!Repolib.Repo.parse_each}
+    whose cache serving then reuses, and prepares the compiled tree if
+    there is one: a model that decodes cannot fail on every value for a
+    reason visible at load. *)
 
 val save : t -> string -> (unit, string) result
 (** Write atomically (temp file + rename); records a [model.save]

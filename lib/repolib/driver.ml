@@ -302,13 +302,13 @@ let config_for ?(config = default_config) ?input_len (c : Candidate.t) :
   in
   config_with_hint config combined
 
-(** Convenience used throughout the pipeline: run and swallow
-    infrastructure failures into an error outcome. *)
+(** Convenience used throughout the pipeline: run, and turn any
+    exception the sandbox does not answer itself — an infrastructure
+    failure, or a fault in the runtime — into a counted [InfraError]
+    outcome with a flight event. *)
 let run_safe ?config ?record_assigns ?cancel ?deadline_ns c input :
     Interp.run_result =
-  match run ?config ?record_assigns ?cancel ?deadline_ns c input with
-  | r -> r
-  | exception Infra_failure msg ->
+  let infra msg =
     Telemetry.incr m_infra_failures;
     Telemetry.Flight.record ~kind:"infra_failure" msg;
     {
@@ -317,3 +317,9 @@ let run_safe ?config ?record_assigns ?cancel ?deadline_ns c input :
       steps_used = 0;
       printed = [];
     }
+  in
+  match run ?config ?record_assigns ?cancel ?deadline_ns c input with
+  | r -> r
+  | exception Infra_failure msg -> infra msg
+  | exception Out_of_memory -> raise Out_of_memory
+  | exception e -> infra (Printexc.to_string e)

@@ -62,4 +62,7 @@ val run_safe :
   Candidate.t ->
   string ->
   Minilang.Interp.run_result
-(** Like {!run} but converts {!Infra_failure} into an error outcome. *)
+(** Like {!run}, but {!Infra_failure} and any other exception the
+    sandbox does not answer itself become an [InfraError] outcome,
+    counted in [driver.infra_failures] with an [infra_failure] flight
+    event. *)

@@ -220,6 +220,98 @@ let test_roundtrip_verdict_parity () =
               (verdicts entry.Model.Registry.synthesis values = live_verdicts)))
        roundtrip_type_ids)
 
+(* A checksum-valid credit-card model whose embedded source gained a
+   line that does not lex (an integer literal past max_int) must not
+   load: it used to decode and then answer [invalid] for every value.
+   The error names the file and line. *)
+let test_unparseable_source_rejected () =
+  let artifact = artifact_for "credit-card" in
+  let c = artifact.Model.Artifact.candidate in
+  let repo = c.Repolib.Candidate.repo in
+  let files =
+    List.map
+      (fun (f : Repolib.Repo.file) ->
+        if f.path = c.Repolib.Candidate.file then
+          { f with source = f.source ^ "x = 99999999999999999999\n" }
+        else f)
+      repo.Repolib.Repo.files
+  in
+  let line =
+    List.length
+      (String.split_on_char '\n'
+         (List.find
+            (fun (f : Repolib.Repo.file) -> f.path = c.Repolib.Candidate.file)
+            files)
+           .source)
+    - 1
+  in
+  let tampered =
+    { artifact with
+      Model.Artifact.candidate =
+        { c with Repolib.Candidate.repo = { repo with Repolib.Repo.files } } }
+  in
+  match Model.Artifact.decode (Model.Artifact.encode tampered) with
+  | Error (Model.Artifact.Malformed msg) ->
+    let place = Printf.sprintf "%s:%d" c.Repolib.Candidate.file line in
+    Alcotest.(check bool) (msg ^ " names " ^ place) true (contains ~needle:place msg)
+  | Error e ->
+    Alcotest.fail ("expected malformed, got: " ^ Model.Artifact.load_error_to_string e)
+  | Ok _ -> Alcotest.fail "an artifact whose source does not lex must not load"
+
+(* Seeded mutations of the payloads of the four compiled artifacts,
+   each with its checksum recomputed and then served: a mutant either
+   fails to decode with a typed error, or every embedded source parses
+   (checked without the parse cache) and serving answers every value
+   with no exception escaping. *)
+let test_artifact_mutations () =
+  let rng = Random.State.make [| 0x4D07; 17 |] in
+  let decoded = ref 0 and unparsed = ref [] and escaped = ref [] in
+  List.iter
+    (fun id ->
+      let encoded = Model.Artifact.encode (artifact_for id) in
+      let payload =
+        let nl = String.index encoded '\n' in
+        String.sub encoded (nl + 1) (String.length encoded - nl - 2)
+      in
+      let values = [ "4532015112830366"; "192.168.0.1"; "a@b.co"; ""; "x" ] in
+      for _ = 1 to 150 do
+        let n = String.length payload in
+        let i = Random.State.int rng n in
+        let c = Char.chr (32 + Random.State.int rng 95) in
+        let mutant =
+          match Random.State.int rng 3 with
+          | 0 -> String.mapi (fun j x -> if j = i then c else x) payload
+          | 1 -> String.sub payload 0 i ^ String.sub payload (i + 1) (n - i - 1)
+          | _ -> String.sub payload 0 i ^ String.make 1 c ^ String.sub payload i (n - i)
+        in
+        let contents =
+          Printf.sprintf "%s v%d md5=%s\n%s\n" Model.Artifact.magic
+            Model.Artifact.format_version
+            (Digest.to_hex (Digest.string mutant))
+            mutant
+        in
+        match Model.Artifact.decode contents with
+        | Error _ -> ()
+        | Ok a ->
+          incr decoded;
+          let repo = a.Model.Artifact.candidate.Repolib.Candidate.repo in
+          (match Repolib.Repo.parse_all repo with
+           | Ok _ -> ()
+           | Error msg -> unparsed := msg :: !unparsed);
+          (match
+             Tablecorpus.Detect.serve
+               (Tablecorpus.Detect.Loaded (Model.Registry.entry_of_artifact a))
+               values
+           with
+           | _ -> ()
+           | exception e -> escaped := Printexc.to_string e :: !escaped)
+      done)
+    roundtrip_type_ids;
+  Alcotest.(check bool) "some mutants decode" true (!decoded > 0);
+  Alcotest.(check (list string)) "decoded mutants whose sources do not parse" []
+    !unparsed;
+  Alcotest.(check (list string)) "exceptions escaping serving" [] !escaped
+
 let save_one_to dir =
   let artifact = artifact_for "ipv4" in
   let path = Filename.concat dir ("ipv4" ^ Model.Artifact.extension) in
@@ -564,6 +656,10 @@ let suite =
     ("jsonx parse errors", `Quick, test_jsonx_parse_errors);
     ("artifact round-trip verdict parity", `Slow, test_roundtrip_verdict_parity);
     ("truncated artifact rejected", `Quick, test_truncated_rejected);
+    ("artifact with an unparseable source rejected", `Slow,
+     test_unparseable_source_rejected);
+    ("mutated artifacts decode whole or not at all", `Slow,
+     test_artifact_mutations);
     ("checksum flip rejected", `Quick, test_checksum_flip_rejected);
     ("future version rejected", `Quick, test_version_unsupported);
     ("missing file is a file error", `Quick, test_missing_file);
