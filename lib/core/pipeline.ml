@@ -126,10 +126,10 @@ let found_enough config (dnf : Dnf.result) =
     set (used by the Figure 10(c) ablations); otherwise Algorithm 2's
     S1→S2→S3 escalation is applied.
 
-    [pool] traces candidates in parallel on the execution engine's
+    [pool] traces clone classes in parallel on the execution engine's
     domains — the output is identical to the sequential run because
-    [Exec.Pool.parallel_map] is order-preserving and candidates share no
-    state.  [cache] is the per-(candidate, input) trace memo; a fresh
+    [Exec.Pool.parallel_map] is order-preserving and classes share no
+    state.  [cache] is the per-(clone class, input) trace memo; a fresh
     one is created per call unless the caller threads its own. *)
 let synthesize ?(config = default_config) ?negatives_override ?pool ?cache
     ~(index : Repolib.Search.index) ~query ~(positives : string list) () :

@@ -58,12 +58,13 @@ val synthesize :
 (** Run the full pipeline.  [negatives_override] bypasses Algorithm 2
     (used by the Figure 10(c) ablations).
 
-    [pool] traces candidates on the execution engine's domains; the
-    outcome is byte-identical to the sequential run because
-    [Exec.Pool.parallel_map] preserves order and candidates share no
-    state.  [cache] is the per-(candidate, input) trace memo threaded
+    [pool] traces candidates on the execution engine's domains, one
+    task per clone class; the outcome is byte-identical to the
+    sequential run because [Exec.Pool.parallel_map] preserves order,
+    classes share no state, and the candidate order is restored.
+    [cache] is the per-(clone class, input) trace memo threaded
     through the S1→S2→S3 attempts — positives are interpreted at most
-    once per candidate per call; pass your own cache to share traces
+    once per class per call; pass your own cache to share traces
     across calls with the same candidate pool. *)
 
 type compiled = {

@@ -30,6 +30,19 @@ type traced = {
       (** the positives and negatives it was traced on, as passed *)
 }
 
+let run_examples ?config (c : Repolib.Candidate.t) (examples : string list) :
+    Minilang.Trace.t list * int =
+  let steps = ref 0 in
+  let traces =
+    List.map
+      (fun e ->
+        let r = Repolib.Driver.run_safe ?config c e in
+        steps := !steps + r.Minilang.Interp.steps_used;
+        r.Minilang.Interp.trace)
+      examples
+  in
+  (traces, !steps)
+
 let m_candidates_traced = Telemetry.counter "ranking.candidates_traced"
 let h_steps_per_candidate = Telemetry.histogram "ranking.steps_per_candidate"
 let m_cache_hits = Telemetry.counter "ranking.trace_cache_hits"
@@ -60,77 +73,37 @@ let class_key ?config c = (clone_under ?config c).Repolib.Analyzer.class_key
 
 (* The site renaming that takes one member's closure files to
    another's, position by position; [None] when they are the same. *)
-type renaming = { from : string array; into : string array }
-
 let renaming ~(from : string list) ~(into : string list) =
   if List.equal String.equal from into then None
-  else Some { from = Array.of_list from; into = Array.of_list into }
+  else
+    let map = List.combine from into in
+    (* Sites carry their file name physically shared with the parsed
+       program, so [==] nearly always answers. *)
+    let rec find file = function
+      | [] -> None
+      | (f, g) :: rest ->
+        if f == file || String.equal f file then Some g else find file rest
+    in
+    Some
+      (fun (s : Minilang.Trace.site) ->
+        match find s.s_file map with
+        | Some f -> { s with s_file = f }
+        | None -> s)
 
-(* The closure position of a site's file, or -1.  Sites carry their file
-   name physically shared with the parsed program, so [==] nearly
-   always answers. *)
-let position r file =
-  let rec go i =
-    if i = Array.length r.from then -1
-    else if r.from.(i) == file || String.equal r.from.(i) file then i
-    else go (i + 1)
-  in
-  go 0
+let rename_event site (ev : Minilang.Trace.event) : Minilang.Trace.event =
+  match ev with
+  | Branch (s, b) -> Branch (site s, b)
+  | Return (s, v) -> Return (site s, v)
+  | Assign (s, n, v) -> Assign (site s, n, v)
+  | Exception _ -> ev
 
-let rename_site r (s : Minilang.Trace.site) =
-  match position r s.Minilang.Trace.s_file with
-  | -1 -> s
-  | i -> { s with Minilang.Trace.s_file = r.into.(i) }
-
-module Int_tbl = Hashtbl.Make (Int)
-module String_tbl = Hashtbl.Make (String)
-
-(* A member's event renaming.  Each renamed event is built once: a
-   closure emits few distinct events, and its traces repeat them. *)
-let event_renamer r : Minilang.Trace.event -> Minilang.Trace.event =
-  let memo = Array.map (fun _ -> Int_tbl.create 32) r.from in
-  let with_site (ev : Minilang.Trace.event) s : Minilang.Trace.event =
-    match ev with
-    | Branch (_, b) -> Branch (s, b)
-    | Return (_, v) -> Return (s, v)
-    | Assign (_, n, v) -> Assign (s, n, v)
-    | Exception _ -> ev
-  in
-  let memoized ev (s : Minilang.Trace.site) code =
-    match position r s.s_file with
-    | -1 -> ev
-    | i ->
-      let key = (s.s_line * 16) + code in
-      (match Int_tbl.find_opt memo.(i) key with
-       | Some ev' -> ev'
-       | None ->
-         let ev' = with_site ev { s with s_file = r.into.(i) } in
-         Int_tbl.add memo.(i) key ev';
-         ev')
-  in
-  fun ev ->
-    match ev with
-    | Branch (s, b) -> memoized ev s (Bool.to_int b)
-    | Return (s, v) ->
-      memoized ev s
-        (match v with
-         | Rbool false -> 2
-         | Rbool true -> 3
-         | Rzero -> 4
-         | Rnonzero -> 5
-         | Rnone -> 6
-         | Rnotnone -> 7
-         | Rvoid -> 8)
-    | Assign (s, _, _) -> with_site ev (rename_site r s)
-    | Exception _ -> ev
-
-let rename_literal r = function
-  | Feature.Branch_is (s, b) -> Feature.Branch_is (rename_site r s, b)
-  | Feature.Return_is (s, v) -> Feature.Return_is (rename_site r s, v)
+let rename_literal site = function
+  | Feature.Branch_is (s, b) -> Feature.Branch_is (site s, b)
+  | Feature.Return_is (s, v) -> Feature.Return_is (site s, v)
   | Feature.Raised _ as l -> l
 
-let rename_dnf renaming (r : Dnf.result) : Dnf.result =
-  let lit = rename_literal renaming in
+let rename_dnf site (r : Dnf.result) : Dnf.result =
+  let lit = rename_literal site in
   let clause = List.map lit in
   {
     r with
@@ -149,23 +122,6 @@ let rename_dnf renaming (r : Dnf.result) : Dnf.result =
 (* Incremental tracing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Memo of per-(clone class, input) traces.  The interpreter is
-    deterministic, so a (candidate, input) pair always produces the same
-    trace and step count, and every member of a clone class produces the
-    representative's trace with its sites renamed: positives re-traced
-    on every S1→S2→S3 attempt, duplicate negatives, and clones of an
-    already-traced function are served from the cache instead of
-    re-executing.
-
-    A class holds its representative (the first member traced), whose
-    file names the stored traces use, and per other member the renamed
-    traces handed out so far.
-
-    Domain safety: the outer per-class table is mutex-guarded; each
-    class's inner tables are only ever touched by the one domain
-    currently tracing that class (the pipeline parallelizes across
-    classes, and strategy attempts are sequential), so lookups on the
-    hot path are lock-free. *)
 (* Traces of one class, interned by content: a class's runs repeat a
    few distinct traces, and a member renames each distinct one once. *)
 module Trace_tbl = Hashtbl.Make (struct
@@ -186,8 +142,10 @@ module Trace_tbl = Hashtbl.Make (struct
     land max_int
 end)
 
+module String_tbl = Hashtbl.Make (String)
+
 type member = {
-  event : (Minilang.Trace.event -> Minilang.Trace.event) option;
+  site : (Minilang.Trace.site -> Minilang.Trace.site) option;
       (** [None] when it shares the representative's file names *)
   mutable renamed : Minilang.Trace.t option array;
       (** by distinct trace: renamed once asked for *)
@@ -208,6 +166,23 @@ type clone_class = {
   members : (string, member) Hashtbl.t;  (** by {!Repolib.Candidate.key} *)
 }
 
+(** Memo of per-(clone class, input) traces.  The interpreter is
+    deterministic, so a (candidate, input) pair always produces the same
+    trace and step count, and every member of a clone class produces the
+    representative's trace with its sites renamed: positives re-traced
+    on every S1→S2→S3 attempt, duplicate negatives, and clones of an
+    already-traced function are served from the cache instead of
+    re-executing.
+
+    A class holds its representative (the first member traced), whose
+    file names the stored traces use, and per other member the renamed
+    traces handed out so far.
+
+    Domain safety: the outer per-class table is mutex-guarded; each
+    class's inner tables are only ever touched by the one domain
+    currently tracing that class (the pipeline parallelizes across
+    classes, and strategy attempts are sequential), so lookups on the
+    hot path are lock-free. *)
 type cache = {
   lock : Mutex.t;
   classes : (string, clone_class) Hashtbl.t;
@@ -239,11 +214,8 @@ let class_member cls (clone : Repolib.Analyzer.clone) c =
   match Hashtbl.find_opt cls.members key with
   | Some m -> m
   | None ->
-    let event =
-      Option.map event_renamer
-        (renaming ~from:cls.rep_files ~into:clone.Repolib.Analyzer.files)
-    in
-    let m = { event; renamed = [||] } in
+    let site = renaming ~from:cls.rep_files ~into:clone.Repolib.Analyzer.files in
+    let m = { site; renamed = [||] } in
     Hashtbl.add cls.members key m;
     if key <> Repolib.Candidate.key cls.rep then
       Telemetry.incr m_clone_members_shared;
@@ -283,9 +255,9 @@ let run_examples_cached ?config ~cls ~member ~runs_counter
             record_run ?config cls e
         in
         steps := !steps + run.steps;
-        match member.event with
+        match member.site with
         | None -> run.trace
-        | Some event ->
+        | Some site ->
           let d = run.distinct in
           if d >= Array.length member.renamed then
             member.renamed <-
@@ -294,22 +266,9 @@ let run_examples_cached ?config ~cls ~member ~runs_counter
           (match member.renamed.(d) with
            | Some t -> t
            | None ->
-             let t = List.map event run.trace in
+             let t = List.map (rename_event site) run.trace in
              member.renamed.(d) <- Some t;
              t))
-      examples
-  in
-  (traces, !steps)
-
-let run_examples ?config (c : Repolib.Candidate.t) (examples : string list) :
-    Minilang.Trace.t list * int =
-  let steps = ref 0 in
-  let traces =
-    List.map
-      (fun e ->
-        let r = Repolib.Driver.run_safe ?config c e in
-        steps := !steps + r.Minilang.Interp.steps_used;
-        r.Minilang.Interp.trace)
       examples
   in
   (traces, !steps)
@@ -417,7 +376,7 @@ let rank_one ?(k = 3) ?(theta = 0.3) (method_ : method_) ~query
              ~into:t.clone.Repolib.Analyzer.files
          with
          | None -> r
-         | Some renaming -> rename renaming r)
+         | Some site -> rename site r)
       | None ->
         let r = compute t in
         Hashtbl.add memo key (t, r);
@@ -451,7 +410,7 @@ let rank_one ?(k = 3) ?(theta = 0.3) (method_ : method_) ~query
                synthesizable artifact; only the ranking score differs. *)
             let inst = Dnf.make_instance ~positives:pos ~negatives:neg in
             (Dnf.best_k_concise ~k ~theta inst, score))
-          (fun renaming (dnf, score) -> (rename_dnf renaming dnf, score))
+          (fun site (dnf, score) -> (rename_dnf site dnf, score))
       in
       List.map
         (fun t ->

@@ -627,19 +627,16 @@ exception Unresolvable
    it may read. *)
 type unit_ = Fn of func | Cst of string * expr
 
-(* The identifiers a function reads from outside its own frame, in AST
-   order, each with whether every read is a direct call [f(...)];
-   whether it binds an exception message to a name.  Raises
-   [Unresolvable] on what the key does not model: nested [def] and
-   [class] (closures over the frame) and [global]. *)
-let fn_reads (f : func) : (string * bool) list * bool =
-  let reads = ref [] and binds = ref false in
+(* The identifiers a function may read from the module scope, in order
+   of first appearance; those of them read other than as the callee of
+   a direct call [f(...)]; and whether it binds an exception message to
+   a name.  Raises [Unresolvable] on what the key does not model:
+   nested [def] and [class] (closures over the frame) and [global]. *)
+let fn_reads (f : func) : string list * string list * bool =
+  let reads = ref [] and values = ref [] and binds = ref false in
   let read ~call n =
-    match List.assoc_opt n !reads with
-    | Some callee ->
-      if callee && not call then
-        reads := (n, false) :: List.remove_assoc n !reads
-    | None -> reads := (n, call) :: !reads
+    if not (List.mem n !reads) then reads := n :: !reads;
+    if not (call || List.mem n !values) then values := n :: !values
   in
   (* Parameters are always set in the frame; every other name falls
      back to the module scope while its local slot is unset. *)
@@ -728,7 +725,7 @@ let fn_reads (f : func) : (string * bool) list * bool =
      even a parameter's name may reach the module scope there. *)
   List.iter (fun (_, e) -> walk ~read e) f.defaults;
   List.iter stmt f.body;
-  (List.rev !reads, !binds)
+  (List.rev !reads, !values, !binds)
 
 (* [f] with every identifier renamed by [ident] and every position's
    file renamed by [file]. *)
@@ -860,13 +857,10 @@ let closure_key (m : module_info) ~entry ~plan : string * string list =
     match Queue.pop queue with
     | Cst _ -> ()
     | Fn f ->
-      let reads, binds = fn_reads f in
+      let reads, values, binds = fn_reads f in
       if binds then names_visible := true;
-      List.iter
-        (fun (n, call) ->
-          resolve n;
-          if not call then values_read := n :: !values_read)
-        reads
+      List.iter resolve reads;
+      values_read := values @ !values_read
   done;
   if !mutable_const && not m.load_inert then raise Unresolvable;
   let units = List.rev !units in
