@@ -251,14 +251,36 @@ type verdict = {
 
 let repo_key (r : Repo.t) = (r.Repo.repo_name, Hashtbl.hash r.Repo.files)
 
+(* Per-candidate memos add the content hash to [Candidate.key], so test
+   repos reusing names do not collide. *)
+let candidate_key (c : Candidate.t) =
+  (Candidate.key c, Hashtbl.hash c.Candidate.repo.Repo.files)
+
+(* The analyses below are memoized in tables the tracing domains share,
+   with the parse cache's locking discipline: the computation runs
+   outside the lock, and the first insert wins. *)
+type ('k, 'v) memo = { lock : Mutex.t; tbl : ('k, 'v) Hashtbl.t }
+
+let memo () = { lock = Mutex.create (); tbl = Hashtbl.create 64 }
+
+let memoized m key compute =
+  Mutex.lock m.lock;
+  match Hashtbl.find_opt m.tbl key with
+  | Some v ->
+    Mutex.unlock m.lock;
+    v
+  | None ->
+    Mutex.unlock m.lock;
+    let v = compute () in
+    Mutex.lock m.lock;
+    if not (Hashtbl.mem m.tbl key) then Hashtbl.add m.tbl key v;
+    Mutex.unlock m.lock;
+    v
+
 (* Taint analyses are memoized per (repository, input-channel config):
    every candidate of a repo under the same invocation channel shares
-   one call-graph fixpoint.  Same locking discipline as the parse
-   cache: analysis runs outside the lock, first insert wins. *)
-let taint_cache : (string * int * string, Staticcheck.Taint.t) Hashtbl.t =
-  Hashtbl.create 64
-
-let taint_lock = Mutex.create ()
+   one call-graph fixpoint. *)
+let taint_memo = memo ()
 
 let taint_for (repo : Repo.t) ~(channel : Staticcheck.Taint.channel)
     ?global_source () : Staticcheck.Taint.t =
@@ -270,22 +292,10 @@ let taint_for (repo : Repo.t) ~(channel : Staticcheck.Taint.channel)
     | Staticcheck.Taint.Chan_argv, _ -> "argv"
     | Staticcheck.Taint.Chan_file, _ -> "file"
   in
-  let name, h = repo_key repo in
-  let key = (name, h, tag) in
-  Mutex.lock taint_lock;
-  match Hashtbl.find_opt taint_cache key with
-  | Some t ->
-    Mutex.unlock taint_lock;
-    t
-  | None ->
-    Mutex.unlock taint_lock;
-    let progs, _ = Repo.parse_each repo in
-    let env = Staticcheck.Env.build progs in
-    let t = Staticcheck.Taint.analyze ?global_source ~channel env progs in
-    Mutex.lock taint_lock;
-    if not (Hashtbl.mem taint_cache key) then Hashtbl.add taint_cache key t;
-    Mutex.unlock taint_lock;
-    t
+  memoized taint_memo (repo_key repo, tag) (fun () ->
+      let progs, _ = Repo.parse_each repo in
+      let env = Staticcheck.Env.build progs in
+      Staticcheck.Taint.analyze ?global_source ~channel env progs)
 
 (* The entry function's AST, for loop-budget inference.  Candidates are
    extracted per file, so prefer the candidate's own file and fall back
@@ -304,8 +314,7 @@ let find_func (repo : Repo.t) ~file name : func option =
      | None -> List.find_map in_prog progs)
   | None -> List.find_map in_prog progs
 
-let verdict_cache : (string * int, verdict) Hashtbl.t = Hashtbl.create 256
-let verdict_lock = Mutex.create ()
+let verdict_memo = memo ()
 
 let compute_verdict (c : Candidate.t) : verdict =
   let repo = c.Candidate.repo in
@@ -374,21 +383,7 @@ let compute_verdict (c : Candidate.t) : verdict =
     { rankable = Staticcheck.Taint.script_rankable t path; budget_hint = None }
 
 let verdict (c : Candidate.t) : verdict =
-  (* Candidate.key is unique within a repo snapshot; add the content
-     hash so test repos reusing names do not collide. *)
-  let key = (Candidate.key c, Hashtbl.hash c.Candidate.repo.Repo.files) in
-  Mutex.lock verdict_lock;
-  match Hashtbl.find_opt verdict_cache key with
-  | Some v ->
-    Mutex.unlock verdict_lock;
-    v
-  | None ->
-    Mutex.unlock verdict_lock;
-    let v = compute_verdict c in
-    Mutex.lock verdict_lock;
-    if not (Hashtbl.mem verdict_cache key) then Hashtbl.add verdict_cache key v;
-    Mutex.unlock verdict_lock;
-    v
+  memoized verdict_memo (candidate_key c) (fun () -> compute_verdict c)
 
 (* ------------------------------------------------------------------ *)
 (* Abstract-interpretation facts (lib/absint wiring)                   *)
@@ -515,11 +510,6 @@ type module_info = {
   load_inert : bool;  (** every top-level statement of every file is *)
 }
 
-let module_info_cache : (string * int, module_info) Hashtbl.t =
-  Hashtbl.create 64
-
-let module_info_lock = Mutex.create ()
-
 let compute_module_info (repo : Repo.t) : module_info =
   let progs, _ = Repo.parse_each repo in
   let safe_len (p : program) =
@@ -543,21 +533,10 @@ let compute_module_info (repo : Repo.t) : module_info =
         (Array.to_list safe_len) progs;
   }
 
+let module_info_memo = memo ()
+
 let module_info (repo : Repo.t) : module_info =
-  let key = repo_key repo in
-  Mutex.lock module_info_lock;
-  match Hashtbl.find_opt module_info_cache key with
-  | Some m ->
-    Mutex.unlock module_info_lock;
-    m
-  | None ->
-    Mutex.unlock module_info_lock;
-    let m = compute_module_info repo in
-    Mutex.lock module_info_lock;
-    if not (Hashtbl.mem module_info_cache key) then
-      Hashtbl.add module_info_cache key m;
-    Mutex.unlock module_info_lock;
-    m
+  memoized module_info_memo (repo_key repo) (fun () -> compute_module_info repo)
 
 (* The absint proofs tie a candidate's AST to the function the driver
    will invoke at runtime by *name*.  That link is only sound when the
@@ -570,11 +549,6 @@ let unique_toplevel_func (m : module_info) name : func option =
   match Hashtbl.find_opt m.bindings name with
   | Some [ Def (f, _) ] -> Some f
   | _ -> None
-
-let absint_cache : (string * int, Absint.Domain.facts) Hashtbl.t =
-  Hashtbl.create 256
-
-let absint_lock = Mutex.create ()
 
 let compute_absint (c : Candidate.t) : Absint.Domain.facts =
   match c.Candidate.invocation with
@@ -600,20 +574,10 @@ let compute_absint (c : Candidate.t) : Absint.Domain.facts =
        function; other plans add machinery the analyses don't model. *)
     Absint.Domain.unknown_facts
 
+let absint_memo = memo ()
+
 let absint_facts (c : Candidate.t) : Absint.Domain.facts =
-  let key = (Candidate.key c, Hashtbl.hash c.Candidate.repo.Repo.files) in
-  Mutex.lock absint_lock;
-  match Hashtbl.find_opt absint_cache key with
-  | Some v ->
-    Mutex.unlock absint_lock;
-    v
-  | None ->
-    Mutex.unlock absint_lock;
-    let v = compute_absint c in
-    Mutex.lock absint_lock;
-    if not (Hashtbl.mem absint_cache key) then Hashtbl.add absint_cache key v;
-    Mutex.unlock absint_lock;
-    v
+  memoized absint_memo (candidate_key c) (fun () -> compute_absint c)
 
 (* ------------------------------------------------------------------ *)
 (* Clone classes (exact trace sharing)                                 *)
@@ -918,55 +882,25 @@ let compute_clone (c : Candidate.t) : clone =
      | class_key, files -> { class_key; files }
      | exception Unresolvable -> own)
 
-let clone_cache : (string * int, clone) Hashtbl.t = Hashtbl.create 256
-let clone_lock = Mutex.create ()
+let clone_memo = memo ()
 
 let clone (c : Candidate.t) : clone =
-  let key = (Candidate.key c, Hashtbl.hash c.Candidate.repo.Repo.files) in
-  Mutex.lock clone_lock;
-  match Hashtbl.find_opt clone_cache key with
-  | Some v ->
-    Mutex.unlock clone_lock;
-    v
-  | None ->
-    Mutex.unlock clone_lock;
-    let v = compute_clone c in
-    Mutex.lock clone_lock;
-    if not (Hashtbl.mem clone_cache key) then Hashtbl.add clone_cache key v;
-    Mutex.unlock clone_lock;
-    v
+  memoized clone_memo (candidate_key c) (fun () -> compute_clone c)
 
 (* ------------------------------------------------------------------ *)
 (* Repository lint                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let diagnostics_cache : (string * int, Staticcheck.Diag.t list) Hashtbl.t =
-  Hashtbl.create 64
-
-let diagnostics_lock = Mutex.create ()
+let diagnostics_memo = memo ()
 
 let repo_diagnostics (repo : Repo.t) : Staticcheck.Diag.t list =
-  let key = repo_key repo in
-  Mutex.lock diagnostics_lock;
-  match Hashtbl.find_opt diagnostics_cache key with
-  | Some ds ->
-    Mutex.unlock diagnostics_lock;
-    ds
-  | None ->
-    Mutex.unlock diagnostics_lock;
-    let progs, skipped = Repo.parse_each repo in
-    let parse_diags =
-      List.map
-        (fun (file, line, msg) ->
-          Staticcheck.Check.parse_error_diag ~file ~line msg)
-        skipped
-    in
-    let ds =
+  memoized diagnostics_memo (repo_key repo) (fun () ->
+      let progs, skipped = Repo.parse_each repo in
+      let parse_diags =
+        List.map
+          (fun (file, line, msg) ->
+            Staticcheck.Check.parse_error_diag ~file ~line msg)
+          skipped
+      in
       List.sort Staticcheck.Diag.compare
-        (parse_diags @ Staticcheck.Check.check_programs progs)
-    in
-    Mutex.lock diagnostics_lock;
-    if not (Hashtbl.mem diagnostics_cache key) then
-      Hashtbl.add diagnostics_cache key ds;
-    Mutex.unlock diagnostics_lock;
-    ds
+        (parse_diags @ Staticcheck.Check.check_programs progs))
