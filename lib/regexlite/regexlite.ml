@@ -3,8 +3,9 @@
     Supports the subset of syntax that appears in real-world
     type-validation code and in Potter's-Wheel-style inferred patterns:
 
-    - literals, [.] (any character but a newline), escapes [\d \D \w \W \s \S], character classes
-      [[a-z0-9_]] with negation [[^...]] and ranges,
+    - literals, [.] (any character but a newline), escapes
+      [\d \D \w \W \s \S], character classes [[a-z0-9_]] with negation
+      [[^...]] and ranges,
     - grouping [( )], alternation [|],
     - quantifiers [* + ?] and bounded repetition [{m}] [{m,n}] [{m,}]
       [{,n}], each greedy or lazy ([*?] [+?] [??] [{m,n}?]),
@@ -264,7 +265,9 @@ let rec parse (pattern : string) : t =
          [a*+] as possessive, this library as a second repeat. *)
       let rec more node ~plus =
         match peek () with
-        | Some '+' when plus -> advance (); more (Repeat (node, 1, None, true)) ~plus:false
+        | Some '+' when plus ->
+          advance ();
+          more (Repeat (node, 1, None, true)) ~plus:false
         | Some ('*' | '+' | '?') -> raise (Parse_error "multiple repeat")
         | Some '{' when repeat_syntax () <> None -> raise (Parse_error "multiple repeat")
         | _ -> node
