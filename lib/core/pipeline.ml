@@ -320,9 +320,3 @@ let best (o : outcome) : Synthesis.t option =
   match o.ranked with
   | [] -> None
   | r :: _ -> Some (Synthesis.make r.Ranking.traced.Ranking.candidate r.Ranking.dnf)
-
-(** All synthesized functions in rank order. *)
-let synthesized (o : outcome) : Synthesis.t list =
-  List.map
-    (fun r -> Synthesis.make r.Ranking.traced.Ranking.candidate r.Ranking.dnf)
-    o.ranked

@@ -89,5 +89,3 @@ val compile :
 
 val best : outcome -> Synthesis.t option
 (** The top-ranked synthesized validation function. *)
-
-val synthesized : outcome -> Synthesis.t list

@@ -22,7 +22,7 @@ type verdict =
 
 val validate_v : ?deadline_ns:int64 -> t -> string -> verdict
 (** Deadline-aware {!validate} for the serving path.  [deadline_ns] is
-    an absolute monotonic instant ({!Exec.Deadline.at_ns} /
+    an absolute monotonic instant ({!Exec.Deadline.to_ns} /
     {!Telemetry.now_ns} clock); without it the result is exactly
     [validate] lifted into [Valid]/[Invalid]. *)
 

@@ -12,10 +12,7 @@ module Deadline = struct
     let ns = Int64.of_float (ms *. 1e6) in
     Int64.add (now_ns ()) (Int64.max 0L ns)
 
-  let at_ns t = t
   let to_ns t = t
-
-  let remaining_ns t = Int64.max 0L (Int64.sub t (now_ns ()))
 
   let expired t = Int64.compare (now_ns ()) t >= 0
 
@@ -25,25 +22,7 @@ module Deadline = struct
     match (a, b) with
     | None, d | d, None -> d
     | Some x, Some y -> Some (Int64.min x y)
-
-  (* Sleep until an absolute monotonic instant.  [Unix.sleepf] takes a
-     relative duration on the realtime clock, so a single call can wake
-     early (EINTR, clock slew); re-checking against the monotonic
-     deadline makes the wake-up instant exact to scheduler granularity.
-     The open-loop load generator paces arrivals with this so request
-     schedules do not drift with response times. *)
-  let sleep_until t =
-    let rec go () =
-      let rem = remaining_ns t in
-      if Int64.compare rem 0L > 0 then begin
-        Unix.sleepf (Int64.to_float rem /. 1e9);
-        go ()
-      end
-    in
-    go ()
 end
-
-let m_deadline_skipped = Telemetry.counter "exec.deadline_skipped"
 
 module Pool = struct
   type task = unit -> unit
@@ -202,39 +181,9 @@ module Pool = struct
         (Array.map
            (function Some y -> y | None -> assert false)
            results)
-
-  (* Deadline awareness is a per-element guard: every dispatch —
-     including the inline single-element path — first probes the batch
-     deadline and, once it has passed, answers with [fallback] instead
-     of running [f].  In-flight elements are never interrupted here
-     (cancellation inside [f] is the interpreter's job); the queue
-     simply drains through cheap fallbacks, preserving order and the
-     lowest-index exception contract unchanged. *)
-  let parallel_map_deadline pool ~deadline ~fallback f xs =
-    let guarded x =
-      if Deadline.expired deadline then begin
-        Telemetry.incr m_deadline_skipped;
-        fallback x
-      end
-      else f x
-    in
-    parallel_map pool guarded xs
 end
 
 let map ?pool f xs =
   match pool with
   | None -> List.map f xs
   | Some pool -> Pool.parallel_map pool f xs
-
-let map_deadline ?pool ~deadline ~fallback f xs =
-  match pool with
-  | None ->
-    List.map
-      (fun x ->
-        if Deadline.expired deadline then begin
-          Telemetry.incr m_deadline_skipped;
-          fallback x
-        end
-        else f x)
-      xs
-  | Some pool -> Pool.parallel_map_deadline pool ~deadline ~fallback f xs

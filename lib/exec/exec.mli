@@ -20,8 +20,8 @@ val default_jobs : unit -> int
 
 (** Absolute wall-clock deadlines on the monotonic clock
     ({!Telemetry.now_ns}), shared by the interpreter's per-run bound and
-    the pool's per-batch bound so nested scopes compare the same time
-    base. *)
+    the serving path's per-batch bound so nested scopes compare the same
+    time base. *)
 module Deadline : sig
   type t
 
@@ -29,31 +29,17 @@ module Deadline : sig
   (** The instant [ms] milliseconds from now (clamped to now for
       negative input). *)
 
-  val at_ns : int64 -> t
-  (** Wrap an absolute monotonic-ns instant (e.g. to pass a batch
-      deadline down as an interpreter [deadline_ns]). *)
-
   val to_ns : t -> int64
   (** The absolute monotonic-ns instant, for handing to
       [?deadline_ns] parameters down the stack. *)
 
   val now_ns : unit -> int64
 
-  val remaining_ns : t -> int64
-  (** Nanoseconds until the deadline, 0 once passed. *)
-
   val expired : t -> bool
 
   val min_opt : t option -> t option -> t option
   (** Effective deadline of a nested scope: whichever cuts first
       ([None] = unbounded on that side). *)
-
-  val sleep_until : t -> unit
-  (** Block the calling domain until the instant has passed (returns
-      immediately if it already has).  Early wake-ups are retried
-      against the monotonic clock, so the target is exact to scheduler
-      granularity — the pacing primitive for open-loop load
-      generation. *)
 end
 
 module Pool : sig
@@ -80,17 +66,6 @@ module Pool : sig
       reusable.  Not re-entrant: [f] must not itself call
       [parallel_map] on the same pool. *)
 
-  val parallel_map_deadline :
-    t -> deadline:Deadline.t -> fallback:('a -> 'b) -> ('a -> 'b) -> 'a list ->
-    'b list
-  (** {!parallel_map}, except that once [deadline] passes, elements not
-      yet dispatched are answered by [fallback] instead of [f] (counted
-      in [exec.deadline_skipped]).  Elements already running complete
-      normally — interrupting {e inside} [f] is the interpreter's
-      cooperative-cancellation job, not the pool's.  Order and the
-      lowest-index exception contract are unchanged; [fallback] must
-      not raise. *)
-
   val shutdown : t -> unit
   (** Stop and join all worker domains.  Idempotent. *)
 
@@ -101,13 +76,3 @@ end
 val map : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 (** [List.map] when [pool] is [None], [Pool.parallel_map] otherwise.
     The convenience form call-sites use to stay pool-agnostic. *)
-
-val map_deadline :
-  ?pool:Pool.t ->
-  deadline:Deadline.t ->
-  fallback:('a -> 'b) ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** Deadline-aware {!map}: sequential or pooled, undispatched elements
-    degrade to [fallback] once [deadline] passes. *)

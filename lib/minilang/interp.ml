@@ -35,12 +35,6 @@ type config = Rt.config = {
 
 let default_config = Rt.default_config
 
-type cancel_token = Rt.cancel_token
-
-let cancel_token = Rt.cancel_token
-let cancel = Rt.cancel
-let cancel_requested = Rt.cancel_requested
-
 type ctx = Rt.ctx
 
 let create_ctx = Rt.create_ctx
@@ -103,12 +97,11 @@ let load_module ?(config = default_config) (programs : Ast.program list) :
 
 (** Run a zero-argument thunk under full tracing and sandbox limits. *)
 let run_traced ?(config = default_config) ?(record_assigns = false)
-    ?(argv = []) ?(stdin_line = "") ?(virtual_files = []) ?cancel ?deadline_ns
+    ?(argv = []) ?(stdin_line = "") ?(virtual_files = []) ?deadline_ns
     (f : ctx -> Value.t) : run_result =
   let collector = Trace.create_collector ~record_assigns () in
   let ctx =
-    create_ctx ~config ~argv ~stdin_line ~virtual_files ?cancel ?deadline_ns
-      collector
+    create_ctx ~config ~argv ~stdin_line ~virtual_files ?deadline_ns collector
   in
   Faults.delay_run ();
   let expired_on_entry =

@@ -14,9 +14,9 @@
 exception Sandbox_limit of string
 
 exception Cancelled of string
-(** Cooperative cancellation (token fired or wall-clock deadline past),
-    raised from the step-accounting path.  Like {!Sandbox_limit}, it is
-    deliberately not catchable by MiniScript [try/except]. *)
+(** A run past its wall-clock deadline, raised from the step-accounting
+    path.  Like {!Sandbox_limit}, it is deliberately not catchable by
+    MiniScript [try/except]. *)
 
 type config = {
   max_steps : int;
@@ -24,14 +24,6 @@ type config = {
 }
 
 val default_config : config
-
-type cancel_token
-(** A shared flag another domain may fire to stop a run at its next
-    interpreter step.  One atomic load per step — no polling syscalls. *)
-
-val cancel_token : unit -> cancel_token
-val cancel : cancel_token -> unit
-val cancel_requested : cancel_token -> bool
 
 type ctx = Rt.ctx
 (** Per-run execution context: collector, budgets, virtual I/O.  The
@@ -44,7 +36,6 @@ val create_ctx :
   ?argv:string list ->
   ?stdin_line:string ->
   ?virtual_files:(string * string) list ->
-  ?cancel:cancel_token ->
   ?deadline_ns:int64 ->
   Trace.collector ->
   ctx
@@ -59,7 +50,7 @@ type outcome =
       (** step budget or call depth exhausted — the per-run {e work}
           bound of the paper's sandbox *)
   | Deadline_exceeded of string
-      (** cancelled or past its wall-clock deadline — the per-request
+      (** past its wall-clock deadline — the per-request
           {e time} bound; distinct from {!Hit_limit} so serving can
           degrade rather than misreport a slow run as a spin loop *)
 
@@ -93,14 +84,12 @@ val run_traced :
   ?argv:string list ->
   ?stdin_line:string ->
   ?virtual_files:(string * string) list ->
-  ?cancel:cancel_token ->
   ?deadline_ns:int64 ->
   (ctx -> Value.t) ->
   run_result
-(** Run a thunk under full tracing and sandbox limits.  A fired
-    [cancel] token or an expired [deadline_ns] yields a
-    [Deadline_exceeded] outcome (a deadline already past on entry
-    refuses to start the run at all).  Fault injection
+(** Run a thunk under full tracing and sandbox limits.  An expired
+    [deadline_ns] yields a [Deadline_exceeded] outcome (a deadline
+    already past on entry refuses to start the run at all).  Fault injection
     ({!Faults.active}) may delay the run or kill it with an
     ["FaultInjected"] error outcome. *)
 

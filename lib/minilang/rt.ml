@@ -14,8 +14,8 @@
     batches consecutive ticks into one [I_tick k], and {!tick_n} charges
     the batch exactly as [k] single ticks in a row would: identical
     final step counts, identical raise points relative to observable
-    events, the cancel token checked on every batch and the wall-clock
-    deadline probed exactly at step numbers divisible by 256.  The
+    events, and the wall-clock deadline probed exactly at step numbers
+    divisible by 256.  The
     reference evaluator charges one tick per site and is the executable
     form of this contract. *)
 
@@ -38,12 +38,6 @@ type config = {
 
 let default_config = { max_steps = 400_000; max_call_depth = 64 }
 
-type cancel_token = bool Atomic.t
-
-let cancel_token () : cancel_token = Atomic.make false
-let cancel (tok : cancel_token) = Atomic.set tok true
-let cancel_requested (tok : cancel_token) = Atomic.get tok
-
 let deadline_message = "wall-clock deadline exceeded"
 
 type ctx = {
@@ -51,7 +45,6 @@ type ctx = {
   config : config;
   mutable steps : int;
   mutable depth : int;
-  cancel : cancel_token option;
   deadline_ns : int64 option;
       (** absolute CLOCK_MONOTONIC ns (same clock as {!Telemetry.now_ns}) *)
   argv : Value.t;
@@ -76,7 +69,7 @@ let stack_pool : Value.t array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> [||])
 
 let create_ctx ?(config = default_config) ?(argv = []) ?(stdin_line = "")
-    ?(virtual_files = []) ?cancel ?deadline_ns collector =
+    ?(virtual_files = []) ?deadline_ns collector =
   let stack = Domain.DLS.get stack_pool in
   if stack != [||] then Domain.DLS.set stack_pool [||];
   {
@@ -84,7 +77,6 @@ let create_ctx ?(config = default_config) ?(argv = []) ?(stdin_line = "")
     config;
     steps = 0;
     depth = 0;
-    cancel;
     deadline_ns;
     argv = Vlist (ref (List.map (fun s -> Vstr s) argv));
     stdin_line;
@@ -100,28 +92,18 @@ let retire_ctx ctx =
     Domain.DLS.set stack_pool ctx.vm_stack
 
 (** Charge [k] ticks at once.  A single tick adds one step, raises
-    [Sandbox_limit] past [max_steps], raises [Cancelled] when the token
-    has fired, and probes the wall-clock deadline when the step count is
-    a multiple of 256 — the token is one atomic load, and the clock is
-    read only every 256 steps so a run never pays one clock syscall per
-    statement.  [tick_n ctx k] is equivalent to [k] such ticks with
-    nothing observable between them:
+    [Sandbox_limit] past [max_steps], and probes the wall-clock deadline
+    when the step count is a multiple of 256, so a run never pays one
+    clock syscall per statement.  [tick_n ctx k] is equivalent to [k]
+    such ticks with nothing observable between them:
     - budget: a batch crossing [max_steps] leaves [steps = max_steps+1]
       and raises, exactly where the [k]-th sequential tick would have;
-    - cancel: a fired token raises after the first tick of the batch
-      ([steps = s+1]), as the sequential probe would;
     - deadline: probed at the first multiple of 256 inside the batch,
       and on expiry [steps] is set to that multiple. *)
 let tick_n ctx k =
   if k > 0 then begin
     let s = ctx.steps in
     let maxs = ctx.config.max_steps in
-    (match ctx.cancel with
-     | Some tok when Atomic.get tok ->
-       ctx.steps <- s + 1;
-       if s + 1 > maxs then raise (Sandbox_limit "step budget exhausted")
-       else raise (Cancelled "run cancelled")
-     | _ -> ());
     if s + k > maxs then begin
       ctx.steps <- maxs + 1;
       raise (Sandbox_limit "step budget exhausted")

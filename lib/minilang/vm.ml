@@ -99,27 +99,23 @@ let rec exec (ctx : Rt.ctx) (fr : frame) (code : Compile.code) =
          | I_tick k ->
            (* Fast path of {!Rt.tick_n}, inlined: the compiler is not
               flambda, so the cross-module call would cost as much as
-              the charge itself.  Any condition the fast path cannot
-              settle (fired token, budget crossing, armed deadline)
-              defers to [tick_n] with [steps] untouched, which then
-              replays the exact sequential-tick semantics. *)
-           (match ctx.Rt.cancel with
-            | Some tok when Atomic.get tok -> Rt.tick_n ctx k
-            | _ ->
-              let s = ctx.Rt.steps + k in
-              if s > ctx.Rt.config.Rt.max_steps then Rt.tick_n ctx k
-              else begin
-                ctx.Rt.steps <- s;
-                match ctx.Rt.deadline_ns with
-                | None -> ()
-                | Some d ->
-                  (* first multiple of 256 in (s-k, s] *)
-                  let m = (((s - k) lsr 8) + 1) lsl 8 in
-                  if m <= s && Telemetry.now_ns () >= d then begin
-                    ctx.Rt.steps <- m;
-                    raise (Rt.Cancelled Rt.deadline_message)
-                  end
-              end);
+              the charge itself.  A budget crossing defers to [tick_n]
+              with [steps] untouched, which then replays the exact
+              sequential-tick semantics. *)
+           let s = ctx.Rt.steps + k in
+           if s > ctx.Rt.config.Rt.max_steps then Rt.tick_n ctx k
+           else begin
+             ctx.Rt.steps <- s;
+             match ctx.Rt.deadline_ns with
+             | None -> ()
+             | Some d ->
+               (* first multiple of 256 in (s-k, s] *)
+               let m = (((s - k) lsr 8) + 1) lsl 8 in
+               if m <= s && Telemetry.now_ns () >= d then begin
+                 ctx.Rt.steps <- m;
+                 raise (Rt.Cancelled Rt.deadline_message)
+               end
+           end;
            incr pc
          | I_const v ->
            push v;

@@ -79,12 +79,6 @@ let of_compiled (c : Autotype_core.Pipeline.compiled) : t option =
     (of_synthesis ~provenance)
     (Autotype_core.Pipeline.best c.Autotype_core.Pipeline.c_outcome)
 
-let all_of_compiled (c : Autotype_core.Pipeline.compiled) : t list =
-  let provenance = provenance_of_compiled c in
-  List.map
-    (of_synthesis ~provenance)
-    (Autotype_core.Pipeline.synthesized c.Autotype_core.Pipeline.c_outcome)
-
 let with_type_id id t =
   { t with provenance = { t.provenance with type_id = Some id } }
 

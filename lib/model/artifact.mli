@@ -67,9 +67,6 @@ val of_compiled : Autotype_core.Pipeline.compiled -> t option
 (** Artifact of the top-ranked validator of a {!Pipeline.compile} run;
     [None] when the pipeline synthesized nothing. *)
 
-val all_of_compiled : Autotype_core.Pipeline.compiled -> t list
-(** One artifact per ranked validator, in rank order. *)
-
 val with_type_id : string -> t -> t
 
 (** {1 Serve: importing} *)

@@ -9,114 +9,33 @@
 
 open Minilang.Ast
 
-(* Does a block (transitively) reference a given variable name? *)
-let block_uses_name name (body : block) =
-  let rec expr_uses (e : expr) =
-    match e with
-    | Var n -> n = name
-    | Int _ | Float _ | Str _ | Bool _ | None_lit -> false
-    | Binop (_, a, b, _) -> expr_uses a || expr_uses b
-    | Unop (_, a) -> expr_uses a
-    | Call (f, args, _) -> expr_uses f || List.exists expr_uses args
-    | Method (o, _, args, _) -> expr_uses o || List.exists expr_uses args
-    | Attr (o, n) -> expr_uses o || (n = name && false)
-    | Index (a, b, _) -> expr_uses a || expr_uses b
-    | Slice (a, lo, hi, _) ->
-      expr_uses a
-      || (match lo with Some e -> expr_uses e | None -> false)
-      || (match hi with Some e -> expr_uses e | None -> false)
-    | List_lit es | Tuple_lit es -> List.exists expr_uses es
-    | Dict_lit kvs -> List.exists (fun (k, v) -> expr_uses k || expr_uses v) kvs
-    | Cond (c, a, b, _) -> expr_uses c || expr_uses a || expr_uses b
-  in
-  let uses = ref false in
-  let check_stmt () s =
-    match s with
-    | Expr_stmt (e, _) -> if expr_uses e then uses := true
-    | Assign (_, e, _) | Aug_assign (_, _, e, _) -> if expr_uses e then uses := true
-    | If (arms, _) ->
-      List.iter (fun (c, _, _) -> if expr_uses c then uses := true) arms
-    | While (c, _, _) -> if expr_uses c then uses := true
-    | For (_, e, _, _) -> if expr_uses e then uses := true
-    | Return (Some e, _) | Raise (Some e, _) -> if expr_uses e then uses := true
-    | Return (None, _) | Raise (None, _) | Try _ | Break _ | Continue _
-    | Pass | Func_def _ | Class_def _ | Global _ -> ()
-  in
-  ignore (fold_stmts check_stmt () body);
-  !uses
+exception Found
 
-(* Does the function's body call a given builtin (input/open/argv use)? *)
-let body_calls_builtin bname (body : block) =
-  let found = ref false in
-  let rec expr_scan (e : expr) =
-    (match e with
-     | Call (Var n, _, _) when n = bname -> found := true
-     | Method (Var "sys", "argv", _, _) -> ()
-     | _ -> ());
-    match e with
-    | Binop (_, a, b, _) -> expr_scan a; expr_scan b
-    | Unop (_, a) -> expr_scan a
-    | Call (f, args, _) -> expr_scan f; List.iter expr_scan args
-    | Method (o, _, args, _) -> expr_scan o; List.iter expr_scan args
-    | Attr (o, _) -> expr_scan o
-    | Index (a, b, _) -> expr_scan a; expr_scan b
-    | Slice (a, lo, hi, _) ->
-      expr_scan a;
-      Option.iter expr_scan lo;
-      Option.iter expr_scan hi
-    | List_lit es | Tuple_lit es -> List.iter expr_scan es
-    | Dict_lit kvs -> List.iter (fun (k, v) -> expr_scan k; expr_scan v) kvs
-    | Cond (c, a, b, _) -> expr_scan c; expr_scan a; expr_scan b
-    | Var _ | Int _ | Float _ | Str _ | Bool _ | None_lit -> ()
-  in
-  let scan_stmt () s =
-    match s with
-    | Expr_stmt (e, _) -> expr_scan e
-    | Assign (_, e, _) | Aug_assign (_, _, e, _) -> expr_scan e
-    | If (arms, _) -> List.iter (fun (c, _, _) -> expr_scan c) arms
-    | While (c, _, _) -> expr_scan c
-    | For (_, e, _, _) -> expr_scan e
-    | Return (Some e, _) | Raise (Some e, _) -> expr_scan e
+(* Does any expression in the block, nested blocks included, satisfy
+   [p]?  Each statement's own expressions are scanned; assignment
+   targets are not. *)
+let block_exists (p : expr -> bool) (body : block) =
+  let expr = Staticcheck.Env.iter_expr (fun e -> if p e then raise Found) in
+  let stmt () = function
+    | Expr_stmt (e, _) | Assign (_, e, _) | Aug_assign (_, _, e, _)
+    | While (e, _, _) | For (_, e, _, _)
+    | Return (Some e, _) | Raise (Some e, _) ->
+      expr e
+    | If (arms, _) -> List.iter (fun (c, _, _) -> expr c) arms
     | Return (None, _) | Raise (None, _) | Try _ | Break _ | Continue _
     | Pass | Func_def _ | Class_def _ | Global _ -> ()
   in
-  ignore (fold_stmts scan_stmt () body);
-  !found
+  match fold_stmts stmt () body with () -> false | exception Found -> true
 
-(* Does the function's body pass its (sole) parameter to open()? *)
-let body_opens_param pname (body : block) =
-  let found = ref false in
-  let scan_stmt () s =
-    let rec expr_scan (e : expr) =
-      (match e with
-       | Call (Var "open", Var n :: _, _) when n = pname -> found := true
-       | _ -> ());
-      match e with
-      | Binop (_, a, b, _) -> expr_scan a; expr_scan b
-      | Unop (_, a) -> expr_scan a
-      | Call (f, args, _) -> expr_scan f; List.iter expr_scan args
-      | Method (o, _, args, _) -> expr_scan o; List.iter expr_scan args
-      | Attr (o, _) -> expr_scan o
-      | Index (a, b, _) -> expr_scan a; expr_scan b
-      | Slice (a, lo, hi, _) ->
-        expr_scan a; Option.iter expr_scan lo; Option.iter expr_scan hi
-      | List_lit es | Tuple_lit es -> List.iter expr_scan es
-      | Dict_lit kvs -> List.iter (fun (k, v) -> expr_scan k; expr_scan v) kvs
-      | Cond (c, a, b, _) -> expr_scan c; expr_scan a; expr_scan b
-      | Var _ | Int _ | Float _ | Str _ | Bool _ | None_lit -> ()
-    in
-    match s with
-    | Expr_stmt (e, _) -> expr_scan e
-    | Assign (_, e, _) | Aug_assign (_, _, e, _) -> expr_scan e
-    | If (arms, _) -> List.iter (fun (c, _, _) -> expr_scan c) arms
-    | While (c, _, _) -> expr_scan c
-    | For (_, e, _, _) -> expr_scan e
-    | Return (Some e, _) | Raise (Some e, _) -> expr_scan e
-    | Return (None, _) | Raise (None, _) | Try _ | Break _ | Continue _
-    | Pass | Func_def _ | Class_def _ | Global _ -> ()
-  in
-  ignore (fold_stmts scan_stmt () body);
-  !found
+let uses_name name = block_exists (function Var n -> n = name | _ -> false)
+
+let calls_builtin name =
+  block_exists (function Call (Var n, _, _) -> n = name | _ -> false)
+
+let opens_param name =
+  block_exists (function
+    | Call (Var "open", Var n :: _, _) -> n = name
+    | _ -> false)
 
 let required_params (f : func) =
   List.filter (fun p -> not (List.mem_assoc p f.defaults)) f.params
@@ -159,15 +78,15 @@ let candidates_of_repo (repo : Repo.t) : Candidate.t list =
               let doc = f.fname in
               (match req with
                | [ p ] ->
-                 if body_opens_param p f.body then
+                 if opens_param p f.body then
                    add file f.fname (Candidate.Via_file f.fname) doc
                  else begin
                    add file f.fname Candidate.Direct doc
                  end
                | [] when f.params = [] || List.length f.defaults = List.length f.params ->
-                 if block_uses_name "argv" f.body then
+                 if uses_name "argv" f.body then
                    add file f.fname (Candidate.Via_argv f.fname) doc
-                 else if body_calls_builtin "input" f.body then
+                 else if calls_builtin "input" f.body then
                    add file f.fname (Candidate.Via_stdin f.fname) doc
                | [ _; _ ] ->
                  add file f.fname (Candidate.Split_call (f.fname, ',', 2)) doc;
@@ -222,11 +141,11 @@ let candidates_of_repo (repo : Repo.t) : Candidate.t list =
            channels (Appendix D.1). *)
         let script_stmts = List.rev !top_level_script_stmts in
         if script_stmts <> [] then begin
-          if block_uses_name "argv" script_stmts then
+          if uses_name "argv" script_stmts then
             add file
               (Printf.sprintf "<script:%s#argv>" file)
               (Candidate.Script_argv file) "main script argv";
-          if body_calls_builtin "input" script_stmts then
+          if calls_builtin "input" script_stmts then
             add file
               (Printf.sprintf "<script:%s#stdin>" file)
               (Candidate.Script_stdin file) "main script stdin"

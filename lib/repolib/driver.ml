@@ -16,7 +16,7 @@ type outcome = Interp.outcome =
 
 let default_config = { Interp.max_steps = 200_000; max_call_depth = 48 }
 
-let lookup scope name = Value.scope_lookup scope name
+let invoke_pos = { Ast.file = "<invoke>"; line = 0 }
 
 exception Infra_failure of string
 (** The invocation machinery itself failed (callable not defined, etc.),
@@ -150,12 +150,13 @@ let load_scope ?(skip_file = "") (repo : Repo.t) : Value.scope option =
   end
   else load_fresh ~skip_file repo
 
-let run ?(config = default_config) ?(record_assigns = false) ?cancel
-    ?deadline_ns (c : Candidate.t) (input : string) : Interp.run_result =
+let run ?(config = default_config) ?(record_assigns = false) ?deadline_ns
+    (c : Candidate.t) (input : string) : Interp.run_result =
   Telemetry.incr m_runs;
+  let repo = c.Candidate.repo in
   let fail_infra msg = raise (Infra_failure msg) in
   let find_prog file =
-    match Repo.parse_each c.Candidate.repo with
+    match Repo.parse_each repo with
     | [], _ -> fail_infra "repository does not parse"
     | progs, _ ->
       (match
@@ -164,90 +165,82 @@ let run ?(config = default_config) ?(record_assigns = false) ?cancel
        | Some p -> p
        | None -> fail_infra ("no such file " ^ file))
   in
-  let with_scope ?skip_file k =
-    match load_scope ?skip_file c.Candidate.repo with
-    | Some scope -> k scope
+  let load ?skip_file () =
+    match load_scope ?skip_file repo with
+    | Some scope -> scope
     | None -> fail_infra "repository does not parse"
   in
+  let traced ?argv ?stdin_line ?virtual_files f =
+    Interp.run_traced ~config ~record_assigns ?argv ?stdin_line ?virtual_files
+      ?deadline_ns f
+  in
+  let lookup scope name kind =
+    match Value.scope_lookup scope name with
+    | Some v -> v
+    | None -> fail_infra (Printf.sprintf "%s %s not defined" kind name)
+  in
   let call_named ctx scope name args =
-    match lookup scope name with
-    | Some callable -> Interp.call_callable ctx callable args
-    | None -> fail_infra (Printf.sprintf "callable %s not defined" name)
+    Interp.call_callable ctx (lookup scope name "callable") args
+  in
+  (* A script plan looks its program up before it loads the scope. *)
+  let script ?argv ?stdin_line ?var path =
+    let prog = find_prog path in
+    let prog =
+      match var with
+      | Some var -> script_var_program repo ~var prog
+      | None -> prog
+    in
+    let scope = load ~skip_file:path () in
+    traced ?argv ?stdin_line (fun ctx ->
+        if var <> None then
+          Hashtbl.replace scope.Value.vars "__autotype_input__"
+            (Value.Vstr input);
+        Interp.exec_program ctx scope prog;
+        Value.Vnone)
   in
   match c.Candidate.invocation with
   | Candidate.Direct ->
-    with_scope (fun scope ->
-        Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns (fun ctx ->
-            call_named ctx scope c.Candidate.func_name [ Value.Vstr input ]))
+    let scope = load () in
+    traced (fun ctx ->
+        call_named ctx scope c.Candidate.func_name [ Value.Vstr input ])
   | Candidate.Split_call (fname, sep, k) ->
-    with_scope (fun scope ->
-        Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns (fun ctx ->
-            let parts =
-              String.split_on_char sep input
-              |> List.map String.trim
-              |> List.filter (fun p -> p <> "")
-            in
-            if List.length parts <> k then
-              Value.raise_error "ValueError"
-                (Printf.sprintf "expected %d components" k)
-            else
-              call_named ctx scope fname
-                (List.map (fun p -> Value.Vstr p) parts)))
+    let scope = load () in
+    traced (fun ctx ->
+        let parts =
+          String.split_on_char sep input
+          |> List.map String.trim
+          |> List.filter (fun p -> p <> "")
+        in
+        if List.length parts <> k then
+          Value.raise_error "ValueError"
+            (Printf.sprintf "expected %d components" k)
+        else
+          call_named ctx scope fname (List.map (fun p -> Value.Vstr p) parts))
   | Candidate.Class_then_method (cls, meth) ->
-    with_scope (fun scope ->
-        Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns (fun ctx ->
-            match lookup scope cls with
-            | Some callable ->
-              let obj = Interp.call_callable ctx callable [] in
-              Interp.call_method ctx obj meth [ Value.Vstr input ]
-                { Ast.file = "<invoke>"; line = 0 }
-            | None -> fail_infra (Printf.sprintf "class %s not defined" cls)))
+    let scope = load () in
+    traced (fun ctx ->
+        let cls = lookup scope cls "class" in
+        let obj = Interp.call_callable ctx cls [] in
+        Interp.call_method ctx obj meth [ Value.Vstr input ] invoke_pos)
   | Candidate.Ctor_then_method (cls, meth) ->
-    with_scope (fun scope ->
-        Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns (fun ctx ->
-            match lookup scope cls with
-            | Some callable ->
-              let obj = Interp.call_callable ctx callable [ Value.Vstr input ] in
-              Interp.call_method ctx obj meth []
-                { Ast.file = "<invoke>"; line = 0 }
-            | None -> fail_infra (Printf.sprintf "class %s not defined" cls)))
+    let scope = load () in
+    traced (fun ctx ->
+        let cls = lookup scope cls "class" in
+        let obj = Interp.call_callable ctx cls [ Value.Vstr input ] in
+        Interp.call_method ctx obj meth [] invoke_pos)
   | Candidate.Via_argv fname ->
-    with_scope (fun scope ->
-        Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns
-          ~argv:[ "prog.py"; input ]
-          (fun ctx -> call_named ctx scope fname []))
+    let scope = load () in
+    traced ~argv:[ "prog.py"; input ] (fun ctx -> call_named ctx scope fname [])
   | Candidate.Via_stdin fname ->
-    with_scope (fun scope ->
-        Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns ~stdin_line:input
-          (fun ctx -> call_named ctx scope fname []))
+    let scope = load () in
+    traced ~stdin_line:input (fun ctx -> call_named ctx scope fname [])
   | Candidate.Via_file fname ->
-    with_scope (fun scope ->
-        Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns
-          ~virtual_files:[ ("input.txt", input) ]
-          (fun ctx -> call_named ctx scope fname [ Value.Vstr "input.txt" ]))
-  | Candidate.Script_var (path, var) ->
-    let prog = script_var_program c.Candidate.repo ~var (find_prog path) in
-    with_scope ~skip_file:path (fun scope ->
-        Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns (fun ctx ->
-            Hashtbl.replace scope.Value.vars "__autotype_input__"
-              (Value.Vstr input);
-            Interp.exec_program ctx scope prog;
-            Value.Vnone))
-  | Candidate.Script_argv path ->
-    let prog = find_prog path in
-    with_scope ~skip_file:path (fun scope ->
-        Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns
-          ~argv:[ "prog.py"; input ]
-          (fun ctx ->
-            Interp.exec_program ctx scope prog;
-            Value.Vnone))
-  | Candidate.Script_stdin path ->
-    let prog = find_prog path in
-    with_scope ~skip_file:path (fun scope ->
-        Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns ~stdin_line:input
-          (fun ctx ->
-            Interp.exec_program ctx scope prog;
-            Value.Vnone))
+    let scope = load () in
+    traced ~virtual_files:[ ("input.txt", input) ] (fun ctx ->
+        call_named ctx scope fname [ Value.Vstr "input.txt" ])
+  | Candidate.Script_var (path, var) -> script ~var path
+  | Candidate.Script_argv path -> script ~argv:[ "prog.py"; input ] path
+  | Candidate.Script_stdin path -> script ~stdin_line:input path
 
 (** Try the candidate on one probe input; reject candidates whose
     invocation machinery does not even reach the function (the paper's
@@ -306,7 +299,7 @@ let config_for ?(config = default_config) ?input_len (c : Candidate.t) :
     exception the sandbox does not answer itself — an infrastructure
     failure, or a fault in the runtime — into a counted [InfraError]
     outcome with a flight event. *)
-let run_safe ?config ?record_assigns ?cancel ?deadline_ns c input :
+let run_safe ?config ?record_assigns ?deadline_ns c input :
     Interp.run_result =
   let infra msg =
     Telemetry.incr m_infra_failures;
@@ -318,7 +311,7 @@ let run_safe ?config ?record_assigns ?cancel ?deadline_ns c input :
       printed = [];
     }
   in
-  match run ?config ?record_assigns ?cancel ?deadline_ns c input with
+  match run ?config ?record_assigns ?deadline_ns c input with
   | r -> r
   | exception Infra_failure msg -> infra msg
   | exception Out_of_memory -> raise Out_of_memory

@@ -14,18 +14,15 @@ exception Infra_failure of string
 (** The invocation machinery itself failed (callable not defined after
     module load), as opposed to the function failing on the input. *)
 
-val load_scope : ?skip_file:string -> Repo.t -> Minilang.Value.scope option
-
 val run :
   ?config:Minilang.Interp.config ->
   ?record_assigns:bool ->
-  ?cancel:Minilang.Interp.cancel_token ->
   ?deadline_ns:int64 ->
   Candidate.t ->
   string ->
   Minilang.Interp.run_result
-(** [cancel]/[deadline_ns] are threaded into the traced interpreter run
-    of every invocation variant; an expired deadline yields a
+(** [deadline_ns] is threaded into the traced interpreter run of every
+    invocation variant; an expired deadline yields a
     [Deadline_exceeded] outcome (see {!Minilang.Interp.run_traced}).
     @raise Infra_failure when the candidate cannot be invoked at all. *)
 
@@ -57,7 +54,6 @@ val config_for :
 val run_safe :
   ?config:Minilang.Interp.config ->
   ?record_assigns:bool ->
-  ?cancel:Minilang.Interp.cancel_token ->
   ?deadline_ns:int64 ->
   Candidate.t ->
   string ->

@@ -53,7 +53,6 @@ let m_fastpath_fallbacks = Telemetry.counter "serve.fastpath_fallbacks"
 let m_columns_scanned = Telemetry.counter "detect.columns_scanned"
 let m_columns_detected = Telemetry.counter "detect.columns_detected"
 let m_models_served = Telemetry.counter "detect.models_served"
-let m_serve_fallbacks = Telemetry.counter "detect.serve_fallbacks"
 let m_deadline_hits = Telemetry.counter "serve.deadline_hits"
 let m_degraded = Telemetry.counter "serve.degraded"
 let r_columns = Telemetry.rate "serve.columns"
@@ -222,39 +221,13 @@ let synthesize ?(seed = 11) ?pool (ty : Semtypes.Registry.t) =
   if Option.is_none best then Telemetry.add_attr "usable" (Telemetry.B false);
   best
 
-(** Build the DNF-S detector for a type.  With a [registry] holding a
-    compiled model for the type, the model is served from it (LRU-cached
-    across columns); otherwise — or when the registered artifact fails
-    to load — the full synthesis pipeline runs as before. *)
-let dnf_detector ?(seed = 11) ?pool ?registry (ty : Semtypes.Registry.t) :
-    detector =
-  let served =
-    match registry with
-    | Some reg when Model.Registry.mem reg ty.Semtypes.Registry.id ->
-      Telemetry.with_span "detect.serve"
-        ~attrs:[ ("type", Telemetry.S ty.Semtypes.Registry.id) ]
-        (fun () ->
-          match Model.Registry.find reg ty.Semtypes.Registry.id with
-          | Ok entry -> Some (serve_detector entry)
-          | Error e ->
-            (* Registered but unreadable: fall back to synthesis so
-               batch detection still completes; the CLI serve path
-               reports such artifacts as hard errors instead. *)
-            Telemetry.incr m_serve_fallbacks;
-            Telemetry.add_attr "fallback"
-              (Telemetry.S (Model.Artifact.load_error_to_string e));
-            None)
-    | _ -> None
-  in
-  match served with
-  | Some det -> det
-  | None ->
-    let type_id = ty.Semtypes.Registry.id in
-    (match synthesize ~seed ?pool ty with
-     | Some syn ->
-       let accepts = Autotype_core.Synthesis.validate syn in
-       { type_id; accepts; usable = true }
-     | None -> { type_id; accepts = (fun _ -> false); usable = false })
+(** The DNF-S detector for a type: its top-1 synthesized function. *)
+let dnf_detector ?(seed = 11) ?pool (ty : Semtypes.Registry.t) : detector =
+  let type_id = ty.Semtypes.Registry.id in
+  match synthesize ~seed ?pool ty with
+  | Some syn ->
+    { type_id; accepts = Autotype_core.Synthesis.validate syn; usable = true }
+  | None -> { type_id; accepts = (fun _ -> false); usable = false }
 
 (** REGEX detector: Potter's-Wheel inference from the same positives. *)
 let regex_detector ?(seed = 11) (ty : Semtypes.Registry.t) : detector =
@@ -343,7 +316,7 @@ type per_type_result = {
 (** Run all three methods on all 20 popular types over a column corpus.
     Relative recall per type uses the union of correct columns found by
     the three methods as ground truth (Section 9.1). *)
-let run ?(seed = 11) ?pool ?registry (columns : Webtables.column list) :
+let run ?(seed = 11) ?pool (columns : Webtables.column list) :
     per_type_result list =
   Telemetry.with_span "detect.run"
     ~attrs:[ ("columns", Telemetry.I (List.length columns)) ]
@@ -352,7 +325,7 @@ let run ?(seed = 11) ?pool ?registry (columns : Webtables.column list) :
   List.concat_map
     (fun (ty : Semtypes.Registry.t) ->
       let type_id = ty.Semtypes.Registry.id in
-      let dnf = dnf_detector ~seed ?pool ?registry ty in
+      let dnf = dnf_detector ~seed ?pool ty in
       let regex = regex_detector ~seed ty in
       let detections =
         [ (DNF_S, detect_with_values dnf columns);

@@ -111,15 +111,10 @@ val synthesize :
     DNF-S method and of [autotype detect] without [--models]. *)
 
 val dnf_detector :
-  ?seed:int ->
-  ?pool:Exec.Pool.t ->
-  ?registry:Model.Registry.t ->
-  Semtypes.Registry.t ->
-  detector
-(** The DNF-S detector for a type.  When [registry] holds a compiled
-    model for the type it is served from there (no synthesis); otherwise
-    the full pipeline runs and the top-1 synthesized function is
-    wrapped.  [pool] parallelizes candidate tracing (see {!Exec.Pool}). *)
+  ?seed:int -> ?pool:Exec.Pool.t -> Semtypes.Registry.t -> detector
+(** The DNF-S detector for a type: {!synthesize}'s top-1 function,
+    wrapped; unusable when nothing was synthesized.  [pool] parallelizes
+    candidate tracing (see {!Exec.Pool}). *)
 
 val regex_detector : ?seed:int -> Semtypes.Registry.t -> detector
 (** Potter's-Wheel inference from the same positive examples. *)
@@ -149,12 +144,6 @@ type per_type_result = {
 }
 
 val run :
-  ?seed:int ->
-  ?pool:Exec.Pool.t ->
-  ?registry:Model.Registry.t ->
-  Webtables.column list ->
-  per_type_result list
+  ?seed:int -> ?pool:Exec.Pool.t -> Webtables.column list -> per_type_result list
 (** All three methods on all 20 popular types (Figure 11 / Table 2).
-    [pool] parallelizes the per-type synthesis runs' candidate tracing;
-    [registry] serves compiled models for the types it holds instead of
-    re-synthesizing them. *)
+    [pool] parallelizes the per-type synthesis runs' candidate tracing. *)

@@ -45,12 +45,12 @@ let rewrite_script_var ~var (prog : Ast.program) =
 
 let invoke_pos = { Ast.file = "<invoke>"; line = 0 }
 
-let run ?(config = Driver.default_config) ?(record_assigns = false) ?cancel
+let run ?(config = Driver.default_config) ?(record_assigns = false)
     ?deadline_ns (c : Candidate.t) (input : string) : Interp.run_result =
   let repo = c.Candidate.repo in
   let traced ?argv ?stdin_line ?virtual_files f =
     Interp.run_traced ~config ~record_assigns ?argv ?stdin_line ?virtual_files
-      ?cancel ?deadline_ns f
+      ?deadline_ns f
   in
   let lookup scope name kind =
     match Value.scope_lookup scope name with
@@ -119,9 +119,9 @@ let run ?(config = Driver.default_config) ?(record_assigns = false) ?cancel
 
 (** {!run} with infrastructure failures turned into the error outcome
     {!Repolib.Driver.run_safe} reports. *)
-let run_safe ?config ?record_assigns ?cancel ?deadline_ns c input :
+let run_safe ?config ?record_assigns ?deadline_ns c input :
     Interp.run_result =
-  match run ?config ?record_assigns ?cancel ?deadline_ns c input with
+  match run ?config ?record_assigns ?deadline_ns c input with
   | r -> r
   | exception Driver.Infra_failure msg ->
     {

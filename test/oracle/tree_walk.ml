@@ -12,17 +12,13 @@ open Minilang
 open Value
 open Rt
 
-(* One tick: the contract {!Rt.tick_n} charges in batches.  The token is
-   one atomic load per step; the wall-clock deadline is probed only
-   every 256 steps so a run never pays one clock syscall per
-   statement. *)
+(* One tick: the contract {!Rt.tick_n} charges in batches.  The
+   wall-clock deadline is probed only every 256 steps so a run never
+   pays one clock syscall per statement. *)
 let tick ctx =
   ctx.steps <- ctx.steps + 1;
   if ctx.steps > ctx.config.max_steps then
     raise (Sandbox_limit "step budget exhausted");
-  (match ctx.cancel with
-   | Some tok when Atomic.get tok -> raise (Cancelled "run cancelled")
-   | _ -> ());
   match ctx.deadline_ns with
   | Some d when ctx.steps land 255 = 0 && Telemetry.now_ns () >= d ->
     raise (Cancelled deadline_message)

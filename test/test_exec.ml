@@ -97,8 +97,6 @@ let test_deadline_api () =
   let b = Exec.Deadline.after_ms 60_000.0 in
   Alcotest.(check bool) "future deadline not expired" false
     (Exec.Deadline.expired b);
-  Alcotest.(check bool) "remaining positive" true
-    (Exec.Deadline.remaining_ns b > 0L);
   (match Exec.Deadline.min_opt (Some a) (Some b) with
    | Some m ->
      Alcotest.(check bool) "min picks the earlier bound" true
@@ -111,61 +109,9 @@ let test_deadline_api () =
    | None -> Alcotest.fail "one-sided min keeps the bound");
   Alcotest.(check bool) "min of unbounded is unbounded" true
     (Exec.Deadline.min_opt None None = None);
-  let past = Exec.Deadline.at_ns (Int64.sub (Exec.Deadline.now_ns ()) 1L) in
-  Alcotest.(check bool) "past deadline expired" true
-    (Exec.Deadline.expired past);
-  Alcotest.(check bool) "past remaining clamps to 0" true
-    (Exec.Deadline.remaining_ns past = 0L);
   (* Negative input clamps to "now": already expired, never negative. *)
   Alcotest.(check bool) "negative ms expired" true
     (Exec.Deadline.expired (Exec.Deadline.after_ms (-5.0)))
-
-let test_map_deadline () =
-  let xs = inputs 20 in
-  let far = Exec.Deadline.after_ms 60_000.0 in
-  let f x = x * 2 in
-  let fb x = -x in
-  Telemetry.enable ();
-  Telemetry.reset ();
-  Alcotest.(check (list int)) "far deadline = plain map"
-    (List.map f xs)
-    (Exec.map_deadline ?pool:None ~deadline:far ~fallback:fb f xs);
-  let expired = Exec.Deadline.after_ms 0.0 in
-  Alcotest.(check (list int)) "expired deadline = fallback, order kept"
-    (List.map fb xs)
-    (Exec.map_deadline ?pool:None ~deadline:expired ~fallback:fb f xs);
-  Exec.Pool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check (list int)) "pooled far = plain map"
-        (List.map f xs)
-        (Exec.Pool.parallel_map_deadline pool ~deadline:far ~fallback:fb f xs);
-      Alcotest.(check (list int)) "pooled expired = fallback, order kept"
-        (List.map fb xs)
-        (Exec.Pool.parallel_map_deadline pool ~deadline:expired ~fallback:fb f
-           xs));
-  Telemetry.disable ();
-  let snap = Telemetry.snapshot () in
-  Alcotest.(check bool) "skipped dispatches counted" true
-    (Telemetry.find_counter snap "exec.deadline_skipped" >= 2 * List.length xs)
-
-let test_map_deadline_exception () =
-  (* The lowest-index exception contract survives the deadline guard. *)
-  let xs = inputs 10 in
-  let far = Exec.Deadline.after_ms 60_000.0 in
-  let f x = if x >= List.nth xs 3 then failwith (string_of_int x) else x in
-  (match Exec.map_deadline ?pool:None ~deadline:far ~fallback:Fun.id f xs with
-   | _ -> Alcotest.fail "sequential map must raise"
-   | exception Failure m ->
-     Alcotest.(check string) "sequential lowest failure"
-       (string_of_int (List.nth xs 3)) m);
-  Exec.Pool.with_pool ~jobs:4 (fun pool ->
-      match
-        Exec.Pool.parallel_map_deadline pool ~deadline:far ~fallback:Fun.id f
-          xs
-      with
-      | _ -> Alcotest.fail "pooled map must raise"
-      | exception Failure m ->
-        Alcotest.(check string) "pooled lowest failure"
-          (string_of_int (List.nth xs 3)) m)
 
 let test_context_propagation () =
   (* A request context installed around parallel_map must reach the
@@ -229,7 +175,5 @@ let suite =
     ("default_jobs bounds", `Quick, test_default_jobs);
     ("shutdown is idempotent", `Quick, test_shutdown_idempotent);
     ("deadline arithmetic", `Quick, test_deadline_api);
-    ("map_deadline degrades to fallback", `Quick, test_map_deadline);
-    ("map_deadline exception contract", `Quick, test_map_deadline_exception);
     ("trace context reaches pool workers", `Quick, test_context_propagation);
   ]

@@ -401,11 +401,11 @@ def f(s):
   | Interp.Finished (Value.Vint 12) -> ()
   | _ -> Alcotest.fail "indentation with comments and blanks"
 
-let run_function_opts ?config ?cancel ?deadline_ns src fname args =
+let run_function_opts ?config ?deadline_ns src fname args =
   let prog = Parser.parse ~file:"test.py" src in
   let scope, _ = Interp.load_module [ prog ] in
   let f = Option.get (Value.scope_lookup scope fname) in
-  Interp.run_traced ?config ?cancel ?deadline_ns (fun ctx ->
+  Interp.run_traced ?config ?deadline_ns (fun ctx ->
       Interp.call_callable ctx f (List.map (fun s -> Value.Vstr s) args))
 
 let show_outcome = function
@@ -422,44 +422,34 @@ def f(s):
     return n
 |}
 
-let test_cancellation () =
-  (* A pre-cancelled token stops the run on its very first step. *)
-  let tok = Interp.cancel_token () in
-  Alcotest.(check bool) "fresh token not cancelled" false
-    (Interp.cancel_requested tok);
-  Interp.cancel tok;
-  Alcotest.(check bool) "cancel is visible" true (Interp.cancel_requested tok);
-  (match (run_function_opts ~cancel:tok loop_src "f" [ "x" ]).Interp.outcome
-   with
-   | Interp.Deadline_exceeded _ -> ()
-   | o -> Alcotest.fail ("cancelled run must deadline, got " ^ show_outcome o));
-  (* An untouched token changes nothing. *)
-  let fresh = Interp.cancel_token () in
-  match (run_function_opts ~cancel:fresh loop_src "f" [ "x" ]).Interp.outcome
-  with
-  | Interp.Finished (Value.Vint 100) -> ()
-  | o -> Alcotest.fail ("uncancelled run must finish, got " ^ show_outcome o)
-
 let test_cancellation_uncatchable () =
-  (* MiniScript try/except must not swallow cancellation: a cancelled
-     run can never report a normal (or caught) result. *)
+  (* MiniScript try/except must not swallow a deadline cut: the cut
+     lands inside the [try] (the run took steps, so it was not refused
+     on entry) and still ends the run. *)
   let src = {|
 def f(s):
     try:
-        n = 0
-        while n < 100:
-            n = n + 1
+        while True:
+            pass
     except:
         return "caught"
     return "done"
 |}
   in
-  let tok = Interp.cancel_token () in
-  Interp.cancel tok;
-  match (run_function_opts ~cancel:tok src "f" [ "x" ]).Interp.outcome with
-  | Interp.Deadline_exceeded _ -> ()
-  | o ->
-    Alcotest.fail ("except must not catch cancellation, got " ^ show_outcome o)
+  let prog = Parser.parse ~file:"test.py" src in
+  let scope, _ = Interp.load_module [ prog ] in
+  let f = Option.get (Value.scope_lookup scope "f") in
+  let config = { Interp.max_steps = 50_000_000; max_call_depth = 48 } in
+  let deadline_ns = Int64.add (Telemetry.now_ns ()) 2_000_000L in
+  let r =
+    Interp.run_traced ~config ~deadline_ns (fun ctx ->
+        Interp.call_callable ctx f [ Value.Vstr "x" ])
+  in
+  (match r.Interp.outcome with
+   | Interp.Deadline_exceeded _ -> ()
+   | o ->
+     Alcotest.fail ("except must not catch a deadline cut, got " ^ show_outcome o));
+  Alcotest.(check bool) "cut inside the try" true (r.Interp.steps_used > 0)
 
 let test_deadline_vs_budget () =
   (* A deadline already in the past: Deadline_exceeded, not Hit_limit —
@@ -548,7 +538,6 @@ let suite =
     ("io variants", `Quick, test_io_variants);
     ("parse errors", `Quick, test_parse_errors);
     ("indentation", `Quick, test_indentation);
-    ("cooperative cancellation", `Quick, test_cancellation);
     ("cancellation uncatchable by try", `Quick, test_cancellation_uncatchable);
     ("deadline vs step budget", `Quick, test_deadline_vs_budget);
     ("fault injection hooks", `Quick, test_fault_injection_hooks);

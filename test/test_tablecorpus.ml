@@ -220,72 +220,6 @@ let test_serve_column_budgets () =
   Alcotest.(check bool) "degradations counted" true
     (Telemetry.find_counter snap "serve.degraded" >= 1)
 
-let test_serve_fallback_on_bad_artifact () =
-  (* Registry/index desync under batch detection: the indexed artifact
-     is truncated on disk.  dnf_detector degrades to a fresh synthesis
-     (detect.serve_fallbacks) instead of crashing the batch. *)
-  let artifact =
-    match Model.Artifact.of_compiled (Lazy.force ipv4_compiled) with
-    | Some a -> Model.Artifact.with_type_id "ipv4" a
-    | None -> Alcotest.fail "no ipv4 artifact"
-  in
-  let dir =
-    let stamp = Filename.temp_file "autotype-test-desync" "" in
-    Sys.remove stamp;
-    stamp
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-  @@ fun () ->
-  (match Model.Registry.create_dir dir with
-   | Error m -> Alcotest.fail m
-   | Ok registry ->
-     (match Model.Registry.save registry artifact with
-      | Ok _ -> ()
-      | Error m -> Alcotest.fail m));
-  (* Truncate the artifact behind the index's back. *)
-  let path =
-    match
-      List.find_opt
-        (fun f -> Filename.check_suffix f Model.Artifact.extension)
-        (Array.to_list (Sys.readdir dir))
-    with
-    | Some f -> Filename.concat dir f
-    | None -> Alcotest.fail "no model file"
-  in
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let bytes = really_input_string ic n in
-  close_in ic;
-  let oc = open_out_bin path in
-  output_string oc (String.sub bytes 0 (n * 2 / 3));
-  close_out oc;
-  Telemetry.enable ();
-  Telemetry.reset ();
-  let registry =
-    match Model.Registry.open_dir dir with
-    | Ok r -> r
-    | Error m -> Alcotest.fail m
-  in
-  let ty = Semtypes.Registry.find_exn "ipv4" in
-  let det = Tablecorpus.Detect.dnf_detector ~registry ty in
-  Telemetry.disable ();
-  Alcotest.(check bool) "fallback detector usable" true
-    det.Tablecorpus.Detect.usable;
-  Alcotest.(check bool) "still detects ipv4" true
-    (det.Tablecorpus.Detect.accepts "192.168.0.1");
-  let snap = Telemetry.snapshot () in
-  Alcotest.(check int) "serve fallback counted" 1
-    (Telemetry.find_counter snap "detect.serve_fallbacks");
-  Alcotest.(check bool) "retries were attempted first" true
-    (Telemetry.find_counter snap "retry.attempts" >= 2)
-
 (* ----------------- request-scoped observability -------------------- *)
 
 let contains ~needle hay =
@@ -432,8 +366,6 @@ let suite =
     ("header matching", `Quick, test_header_matching);
     ("detection end-to-end", `Slow, test_detection_small_corpus);
     ("serve_column budgets and degradation", `Slow, test_serve_column_budgets);
-    ("serve fallback on bad artifact", `Slow,
-     test_serve_fallback_on_bad_artifact);
     ("serve_column trace attribution (jobs=1 and 4)", `Slow,
      test_serve_trace_attribution);
     ("degraded column triggers flight dump", `Slow,

@@ -334,32 +334,9 @@ let test_opcodes () =
     Alcotest.failf "%d opcode divergence(s); first:\n%s" (List.length fs)
       (List.hd (List.rev fs))
 
-(* ------------------------ deadline / cancel ------------------------ *)
+(* ----------------------------- deadline ---------------------------- *)
 
 let spin_src = "def f(value):\n    while True:\n        pass\n"
-
-let test_cancel_parity () =
-  match direct_candidates spin_src with
-  | [ c ] ->
-    let fired () =
-      let tok = Interp.cancel_token () in
-      Interp.cancel tok;
-      tok
-    in
-    let off = Oracle.Reference.run_safe ~cancel:(fired ()) c "x" in
-    let on = Repolib.Driver.run_safe ~cancel:(fired ()) c "x" in
-    (* A pre-fired token cancels on the very first charged tick in both
-       engines — the batched tick must not overshoot. *)
-    Alcotest.(check bool) "both cancelled" true
-      (match (off.Interp.outcome, on.Interp.outcome) with
-       | Interp.Deadline_exceeded a, Interp.Deadline_exceeded b -> a = b
-       | _ -> false);
-    Alcotest.(check int) "oracle cancels at step 1" 1 off.Interp.steps_used;
-    Alcotest.(check int) "vm cancels at the same step" off.Interp.steps_used
-      on.Interp.steps_used;
-    Alcotest.(check bool) "identical traces" true
-      (off.Interp.trace = on.Interp.trace)
-  | _ -> Alcotest.fail "spin candidate not found"
 
 let test_deadline_parity () =
   match direct_candidates spin_src with
@@ -583,8 +560,6 @@ let suite =
       test_differential;
     Alcotest.test_case "specialized opcodes match the oracle" `Quick
       test_opcodes;
-    Alcotest.test_case "pre-fired cancel token: identical first-tick stop"
-      `Quick test_cancel_parity;
     Alcotest.test_case "wall-clock deadline observes the 256-step cadence"
       `Quick test_deadline_parity;
     Alcotest.test_case "compiled programs are cached per candidate" `Quick
