@@ -168,38 +168,16 @@ type verdict = {
           proven constant-condition spin loop *)
 }
 
-let repo_key (r : Repo.t) = (r.Repo.repo_name, Hashtbl.hash r.Repo.files)
-
-(* Per-candidate memos add the content hash to [Candidate.key], so test
-   repos reusing names do not collide. *)
-let candidate_key (c : Candidate.t) =
-  (Candidate.key c, Hashtbl.hash c.Candidate.repo.Repo.files)
-
-(* The analyses below are memoized in tables the tracing domains share,
-   with the parse cache's locking discipline: the computation runs
-   outside the lock, and the first insert wins. *)
-type ('k, 'v) memo = { lock : Mutex.t; tbl : ('k, 'v) Hashtbl.t }
-
-let memo () = { lock = Mutex.create (); tbl = Hashtbl.create 64 }
-
-let memoized m key compute =
-  Mutex.lock m.lock;
-  match Hashtbl.find_opt m.tbl key with
-  | Some v ->
-    Mutex.unlock m.lock;
-    v
-  | None ->
-    Mutex.unlock m.lock;
-    let v = compute () in
-    Mutex.lock m.lock;
-    if not (Hashtbl.mem m.tbl key) then Hashtbl.add m.tbl key v;
-    Mutex.unlock m.lock;
-    v
+(* The analyses below are memoized per repository identity
+   ({!Repo.memoized}) in tables the tracing domains share; a
+   per-candidate memo keys on the candidate's repository and key. *)
+let memoized_candidate m (c : Candidate.t) compute =
+  Repo.memoized m c.Candidate.repo (Candidate.key c) compute
 
 (* Taint analyses are memoized per (repository, input-channel config):
    every candidate of a repo under the same invocation channel shares
    one call-graph fixpoint. *)
-let taint_memo = memo ()
+let taint_memo = Repo.memo ()
 
 let taint_for (repo : Repo.t) ~(channel : Staticcheck.Taint.channel)
     ?global_source () : Staticcheck.Taint.t =
@@ -211,7 +189,7 @@ let taint_for (repo : Repo.t) ~(channel : Staticcheck.Taint.channel)
     | Staticcheck.Taint.Chan_argv, _ -> "argv"
     | Staticcheck.Taint.Chan_file, _ -> "file"
   in
-  memoized taint_memo (repo_key repo, tag) (fun () ->
+  Repo.memoized taint_memo repo tag (fun () ->
       let progs, _ = Repo.parse_each repo in
       let env = Staticcheck.Env.build progs in
       Staticcheck.Taint.analyze ?global_source ~channel env progs)
@@ -233,7 +211,7 @@ let find_func (repo : Repo.t) ~file name : func option =
      | None -> List.find_map in_prog progs)
   | None -> List.find_map in_prog progs
 
-let verdict_memo = memo ()
+let verdict_memo = Repo.memo ()
 
 let compute_verdict (c : Candidate.t) : verdict =
   let repo = c.Candidate.repo in
@@ -302,7 +280,7 @@ let compute_verdict (c : Candidate.t) : verdict =
     { rankable = Staticcheck.Taint.script_rankable t path; budget_hint = None }
 
 let verdict (c : Candidate.t) : verdict =
-  memoized verdict_memo (candidate_key c) (fun () -> compute_verdict c)
+  memoized_candidate verdict_memo c (fun () -> compute_verdict c)
 
 (* ------------------------------------------------------------------ *)
 (* Abstract-interpretation facts (lib/absint wiring)                   *)
@@ -452,10 +430,10 @@ let compute_module_info (repo : Repo.t) : module_info =
         (Array.to_list safe_len) progs;
   }
 
-let module_info_memo = memo ()
+let module_info_memo = Repo.memo ()
 
 let module_info (repo : Repo.t) : module_info =
-  memoized module_info_memo (repo_key repo) (fun () -> compute_module_info repo)
+  Repo.memoized module_info_memo repo () (fun () -> compute_module_info repo)
 
 (* The absint proofs tie a candidate's AST to the function the driver
    will invoke at runtime by *name*.  That link is only sound when the
@@ -493,10 +471,10 @@ let compute_absint (c : Candidate.t) : Absint.Domain.facts =
        function; other plans add machinery the analyses don't model. *)
     Absint.Domain.unknown_facts
 
-let absint_memo = memo ()
+let absint_memo = Repo.memo ()
 
 let absint_facts (c : Candidate.t) : Absint.Domain.facts =
-  memoized absint_memo (candidate_key c) (fun () -> compute_absint c)
+  memoized_candidate absint_memo c (fun () -> compute_absint c)
 
 (* ------------------------------------------------------------------ *)
 (* Clone classes (exact trace sharing)                                 *)
@@ -801,19 +779,19 @@ let compute_clone (c : Candidate.t) : clone =
      | class_key, files -> { class_key; files }
      | exception Unresolvable -> own)
 
-let clone_memo = memo ()
+let clone_memo = Repo.memo ()
 
 let clone (c : Candidate.t) : clone =
-  memoized clone_memo (candidate_key c) (fun () -> compute_clone c)
+  memoized_candidate clone_memo c (fun () -> compute_clone c)
 
 (* ------------------------------------------------------------------ *)
 (* Repository lint                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let diagnostics_memo = memo ()
+let diagnostics_memo = Repo.memo ()
 
 let repo_diagnostics (repo : Repo.t) : Staticcheck.Diag.t list =
-  memoized diagnostics_memo (repo_key repo) (fun () ->
+  Repo.memoized diagnostics_memo repo () (fun () ->
       let progs, skipped = Repo.parse_each repo in
       let parse_diags =
         List.map

@@ -99,20 +99,16 @@ let scope_reusable (progs : Ast.program list) (scope : Value.scope) =
 
 type scope_entry = Reusable of Value.scope | Reload
 
-(* Keyed by repo name, validated by physical identity of the file list:
-   corpus [Repo.t] values are constructed once and reused, so [==] is a
-   free equality — hashing the file contents (whole source strings)
-   would cost more than a short run itself.  A same-named repo with a
-   different file list (fuzzers rebuild repos per program) misses the
-   identity check and reloads. *)
-let scope_cache :
-    ((string, Repo.file list * scope_entry) Hashtbl.t) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
+(* Keyed by repository identity ({!Repo.Tbl}): a hit costs one short
+   hash and a table probe — no parse-cache mutex, no program
+   filtering. *)
+let scope_cache : ((unit, scope_entry) Repo.Tbl.t) Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Repo.Tbl.create 32)
 
-(** Load every file of the repo into a fresh scope, untraced.  Load-time
-    errors in individual files are tolerated, mirroring the paper's
-    "execute whatever compiles" behaviour. *)
-let load_fresh ?(skip_file = "") (repo : Repo.t) : Value.scope option =
+(* Load every file of the repo but [skip_file] into a fresh scope,
+   untraced.  Load-time errors in individual files are tolerated,
+   mirroring the paper's "execute whatever compiles" behaviour. *)
+let load_fresh ?(skip_file = "") (repo : Repo.t) =
   match Repo.parse_each repo with
   | [], _ -> None
   | progs, _skipped ->
@@ -121,34 +117,24 @@ let load_fresh ?(skip_file = "") (repo : Repo.t) : Value.scope option =
     in
     Telemetry.incr m_scope_loads;
     let scope, _errors = Interp.load_module ~config:default_config progs in
-    Some scope
+    Some (progs, scope)
 
 let load_scope ?(skip_file = "") (repo : Repo.t) : Value.scope option =
-  if skip_file = "" then begin
-    (* Consult the cache before even parsing: a hit costs one short
-       string hash and a table probe — no parse-cache mutex, no file
-       hashing, no program filtering. *)
+  if skip_file <> "" then Option.map snd (load_fresh ~skip_file repo)
+  else
     let tbl = Domain.DLS.get scope_cache in
-    let key = repo.Repo.repo_name in
-    match Hashtbl.find_opt tbl key with
-    | Some (files, Reusable scope) when files == repo.Repo.files ->
+    match Repo.Tbl.find_opt tbl repo () with
+    | Some (Reusable scope) ->
       Telemetry.incr m_scope_cache_hits;
       Some scope
-    | Some (files, Reload) when files == repo.Repo.files -> load_fresh repo
-    | _ ->
-      (match Repo.parse_each repo with
-       | [], _ -> None
-       | progs, _skipped ->
-         Telemetry.incr m_scope_loads;
-         let scope, _errors =
-           Interp.load_module ~config:default_config progs
-         in
-         Hashtbl.replace tbl key
-           ( repo.Repo.files,
-             if scope_reusable progs scope then Reusable scope else Reload );
-         Some scope)
-  end
-  else load_fresh ~skip_file repo
+    | Some Reload -> Option.map snd (load_fresh repo)
+    | None ->
+      Option.map
+        (fun (progs, scope) ->
+          Repo.Tbl.replace tbl repo ()
+            (if scope_reusable progs scope then Reusable scope else Reload);
+          scope)
+        (load_fresh repo)
 
 let run ?(config = default_config) ?(record_assigns = false) ?deadline_ns
     (c : Candidate.t) (input : string) : Interp.run_result =

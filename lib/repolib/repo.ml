@@ -44,47 +44,68 @@ let parse_all repo : (Minilang.Ast.program list, string) result =
   in
   go [] repo.files
 
-(* Parse results are cached per repository: the analyzer and the
-   execution driver both re-load modules many times.  The key includes
-   a content hash so distinct repositories sharing a name (as happens
-   in tests) do not collide.  A mutex guards the table because the
-   execution engine (lib/exec) traces candidates from several domains;
-   parsing itself happens outside the lock, so two domains may parse
-   the same repository once concurrently — benign, the results are
-   equal and the first insert wins. *)
-let parse_cache :
-    ( string * int,
-      Minilang.Ast.program list * (string * int * string) list )
-    Hashtbl.t =
-  Hashtbl.create 64
+(* Repository identity, the one rule every per-repository cache keys
+   on: the name and the physical [files] list.  Corpus repositories are
+   built once and reused, so [==] on the list is free, and two
+   repositories built apart under one name (tests, decoded artifacts)
+   never share an entry.  Hashing the sources instead would cost more
+   than a short run.  One entry per name and key: a repository built
+   anew under a known name replaces the old entry. *)
+module Tbl = struct
+  type repo = t
+  type ('k, 'v) t = (string * 'k, file list * 'v) Hashtbl.t
 
-let parse_cache_lock = Mutex.create ()
+  let create n : ('k, 'v) t = Hashtbl.create n
+
+  let find_opt (tbl : ('k, 'v) t) (repo : repo) k =
+    match Hashtbl.find_opt tbl (repo.repo_name, k) with
+    | Some (files, v) when files == repo.files -> Some v
+    | _ -> None
+
+  let replace (tbl : ('k, 'v) t) (repo : repo) k v =
+    Hashtbl.replace tbl (repo.repo_name, k) (repo.files, v)
+end
+
+(* A [Tbl] the tracing domains share.  The computation runs outside the
+   lock, so two domains may compute one entry concurrently — benign,
+   the results are equal and the first insert wins. *)
+type ('k, 'v) memo = { lock : Mutex.t; tbl : ('k, 'v) Tbl.t }
+
+let memo () = { lock = Mutex.create (); tbl = Tbl.create 64 }
+
+let memoized m repo k compute =
+  Mutex.lock m.lock;
+  match Tbl.find_opt m.tbl repo k with
+  | Some v ->
+    Mutex.unlock m.lock;
+    v
+  | None ->
+    Mutex.unlock m.lock;
+    let v = compute () in
+    Mutex.lock m.lock;
+    if Option.is_none (Tbl.find_opt m.tbl repo k) then
+      Tbl.replace m.tbl repo k v;
+    Mutex.unlock m.lock;
+    v
+
+(* Parse results are cached per repository: the analyzer and the
+   execution driver both re-load modules many times. *)
+let parse_memo = memo ()
 
 let parse_each repo =
-  let key = (repo.repo_name, Hashtbl.hash repo.files) in
-  Mutex.lock parse_cache_lock;
-  match Hashtbl.find_opt parse_cache key with
-  | Some result ->
-    Mutex.unlock parse_cache_lock;
-    result
-  | None ->
-    Mutex.unlock parse_cache_lock;
-    let progs, errs =
-      List.fold_left
-        (fun (progs, errs) f ->
-          match Minilang.Parser.parse ~file:f.path f.source with
-          | prog -> (prog :: progs, errs)
-          | exception Minilang.Parser.Parse_error (msg, line) ->
-            (progs, (f.path, line, msg) :: errs)
-          | exception Minilang.Lexer.Lex_error (msg, line) ->
-            (progs, (f.path, line, "lex: " ^ msg) :: errs))
-        ([], []) repo.files
-    in
-    let result = (List.rev progs, List.rev errs) in
-    Mutex.lock parse_cache_lock;
-    if not (Hashtbl.mem parse_cache key) then Hashtbl.add parse_cache key result;
-    Mutex.unlock parse_cache_lock;
-    result
+  memoized parse_memo repo () (fun () ->
+      let progs, errs =
+        List.fold_left
+          (fun (progs, errs) f ->
+            match Minilang.Parser.parse ~file:f.path f.source with
+            | prog -> (prog :: progs, errs)
+            | exception Minilang.Parser.Parse_error (msg, line) ->
+              (progs, (f.path, line, msg) :: errs)
+            | exception Minilang.Lexer.Lex_error (msg, line) ->
+              (progs, (f.path, line, "lex: " ^ msg) :: errs))
+          ([], []) repo.files
+      in
+      (List.rev progs, List.rev errs))
 
 let programs repo =
   match parse_each repo with

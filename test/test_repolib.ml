@@ -294,6 +294,51 @@ let test_oversized_numbers () =
   | Minilang.Interp.Errored ("ValueError", _) -> ()
   | _ -> Alcotest.fail "expected the run to raise ValueError"
 
+(* Two repositories under one name whose first five files are equal
+   and whose sixth differs: no cache may answer for one with the
+   other's parse or analyses. *)
+let test_same_name_repos_kept_apart () =
+  let file path source = { Repolib.Repo.path; source } in
+  let make sixth =
+    Repolib.Repo.make "t/six" "six files"
+      (file "f0.py"
+         "def g0(s):\n\
+         \    if len(s) > LIMIT:\n\
+         \        return False\n\
+         \    return True\n"
+       :: List.init 4 (fun i ->
+              file (Printf.sprintf "f%d.py" (i + 1))
+                (Printf.sprintf "def h%d(s):\n    return s\n" (i + 1)))
+       @ [ file "f5.py" sixth ])
+  in
+  let g0 repo =
+    List.find
+      (fun c -> c.Repolib.Candidate.func_name = "g0")
+      (Repolib.Analyzer.candidates_of_repo repo)
+  in
+  let short = make "LIMIT = 3\n" in
+  let long = make "LIMIT = 8\n" in
+  let short_g0 = g0 short in
+  (match (Repolib.Driver.run_safe (g0 long) "12345").Minilang.Interp.outcome with
+   | Minilang.Interp.Finished (Minilang.Value.Vbool true) -> ()
+   | _ -> Alcotest.fail "g0 of LIMIT = 8 must accept a 5-character value");
+  Alcotest.(check bool) "distinct clone classes" false
+    ((Repolib.Analyzer.clone short_g0).Repolib.Analyzer.class_key
+    = (Repolib.Analyzer.clone (g0 long)).Repolib.Analyzer.class_key);
+  let broken = make "LIMIT = = 3\n" in
+  (match Repolib.Repo.parse_all broken with
+   | Error msg ->
+     Alcotest.(check bool) "parse_all names f5.py:1" true
+       (String.starts_with ~prefix:"f5.py:1:" msg)
+   | Ok _ -> Alcotest.fail "parse_all must reject the broken sixth file");
+  (match Repolib.Repo.parse_each broken with
+   | _, [ ("f5.py", 1, _) ] -> ()
+   | _ -> Alcotest.fail "parse_each must report the broken sixth file");
+  Alcotest.(check bool) "repo_diagnostics reports it" true
+    (List.exists
+       (fun (d : Staticcheck.Diag.t) -> d.Staticcheck.Diag.code = "E100")
+       (Repolib.Analyzer.repo_diagnostics broken))
+
 let suite =
   [
     ("variant 1: direct", `Quick, test_variant_direct);
@@ -313,4 +358,6 @@ let suite =
     ("budget hint clamped to >= 1", `Quick, test_config_with_hint_clamp);
     ("regex out of fuel is no match", `Quick, test_regex_fuel_exhaustion);
     ("oversized numbers fail with typed errors", `Quick, test_oversized_numbers);
+    ("same-named repositories kept apart", `Quick,
+     test_same_name_repos_kept_apart);
   ]
