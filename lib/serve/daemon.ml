@@ -23,8 +23,8 @@ type conn = {
   c_out : Unix.file_descr;
   c_dec : Frame.decoder;
   c_owned : bool;  (** accepted by us → we close it; caller's → we don't *)
-  mutable c_eof : bool;
-  mutable c_dead : bool;  (** write error or poisoned decoder *)
+  mutable c_eof : bool;  (** no more input: end of stream or a poisoned decoder *)
+  mutable c_dead : bool;  (** write error: nothing more can be sent *)
 }
 
 let conn ~owned ~in_fd ~out_fd =
@@ -147,9 +147,9 @@ let classify t inflight (c : conn) (item : Frame.item) : outcome =
          ~detail:"frame payload not terminated by newline")
   | Frame.Too_large len ->
     Telemetry.incr m_bad_frames;
-    c.c_dead <- true;
+    c.c_eof <- true;
     (* the oversized payload was never read: the connection is beyond
-       resynchronization, so answer and drop it *)
+       resynchronization, so answer this cycle's items and drop it *)
     Ready
       (Protocol.error ~id:(-1) ~trace_id:0L ~code:"bad_frame"
          ~detail:

@@ -16,14 +16,18 @@ type item =
    before appending so the buffer never grows past one partial frame
    plus one read chunk.  [poisoned] latches after a [Too_large] header:
    the declared payload was never read, so everything after it would be
-   misparsed as headers — the connection must be dropped. *)
+   misparsed as headers — the connection must be dropped.  [resyncing]
+   holds after a [Bad_terminator] until the next newline, which a later
+   chunk may bring, so where the reads split the stream never changes
+   the items. *)
 type decoder = {
   mutable data : string;
   mutable pos : int;
   mutable poisoned : bool;
+  mutable resyncing : bool;
 }
 
-let decoder () = { data = ""; pos = 0; poisoned = false }
+let decoder () = { data = ""; pos = 0; poisoned = false; resyncing = false }
 
 let feed dec chunk =
   if not dec.poisoned then begin
@@ -37,8 +41,17 @@ let pending dec = String.length dec.data - dec.pos
 
 let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
 
-let next dec : item option =
+let rec next dec : item option =
   if dec.poisoned then None
+  else if dec.resyncing then
+    match String.index_from_opt dec.data dec.pos '\n' with
+    | None ->
+      dec.pos <- String.length dec.data;
+      None
+    | Some nl ->
+      dec.pos <- nl + 1;
+      dec.resyncing <- false;
+      next dec
   else
     match String.index_from_opt dec.data dec.pos '\n' with
     | None -> None  (* incomplete header line *)
@@ -68,9 +81,7 @@ let next dec : item option =
           else begin
             (* Length lied: drop what we read and resync at the next
                line boundary so one bad frame costs one frame. *)
-            (match String.index_from_opt dec.data dec.pos '\n' with
-             | Some nl' -> dec.pos <- nl' + 1
-             | None -> dec.pos <- String.length dec.data);
+            dec.resyncing <- true;
             Some Bad_terminator
           end
         end

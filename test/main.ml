@@ -18,4 +18,5 @@ let () =
       ("serve", Test_serve.suite);
       ("absint", Test_absint.suite);
       ("absint_fuzz", Test_absint_fuzz.suite);
+      ("fuzz", Test_fuzz.suite);
       ("vm", Test_vm.suite) ]

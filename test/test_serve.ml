@@ -214,19 +214,21 @@ let ipv4_synthesis () =
   | Ok entry -> entry.Model.Registry.synthesis
   | Error e -> Alcotest.fail (Model.Artifact.load_error_to_string e)
 
-(* Run the daemon synchronously over pipes: all request frames are
+(* Run the daemon synchronously over pipes: all request bytes are
    written up front and the write end closed, so the first drain cycle
    sees every frame at once — which makes admission-control outcomes
    deterministic.  Returns the decoded replies in order. *)
-let run_over_pipes ?pool ?max_inflight frames =
+let run_bytes_over_pipes ?pool ?max_inflight ?registry request_bytes =
   let in_r, in_w = Unix.pipe ~cloexec:false () in
   let out_r, out_w = Unix.pipe ~cloexec:false () in
-  let request_bytes = String.concat "" (List.map Serve.Frame.encode frames) in
   let b = Bytes.of_string request_bytes in
   let n = Unix.write in_w b 0 (Bytes.length b) in
   Alcotest.(check int) "all requests fit the pipe" (Bytes.length b) n;
   Unix.close in_w;
-  let cfg = Serve.Daemon.config ?pool ?max_inflight (open_registry ()) in
+  let registry =
+    match registry with Some r -> r | None -> open_registry ()
+  in
+  let cfg = Serve.Daemon.config ?pool ?max_inflight registry in
   let served, rejected = Serve.Daemon.run_fds cfg ~in_fd:in_r ~out_fd:out_w in
   Unix.close in_r;
   Unix.close out_w;
@@ -251,6 +253,10 @@ let run_over_pipes ?pool ?max_inflight frames =
     | None -> List.rev acc
   in
   (drain [], served, rejected)
+
+let run_over_pipes ?pool ?max_inflight frames =
+  run_bytes_over_pipes ?pool ?max_inflight
+    (String.concat "" (List.map Serve.Frame.encode frames))
 
 let str_list j = List.map J.to_str (J.to_list j)
 
