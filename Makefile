@@ -1,4 +1,4 @@
-.PHONY: all build test lint absint regex-diff fingerprints models faults serve-smoke bench-smoke check bench bench-compare clean
+.PHONY: all build test lint absint regex-diff fingerprints models faults serve-smoke bench-smoke observability check bench bench-compare clean
 
 all: build
 
@@ -131,18 +131,26 @@ serve-smoke: build
 bench-smoke: build
 	python3 autobench/test/smoke.py
 
-# Full gate: build, test suites (the VM's parity with the tree-walking
-# reference evaluator runs there, DESIGN.md §14), the CPython regex
-# differential, the golden synthesis fingerprints, the compile/serve smoke, the fault-injection smoke, the daemon smoke, the benchmark
-# smoke, and the observability paths (CLI --stats and the
-# machine-readable bench JSON).  Opt into the parallel-determinism gate
-# with BENCH=1.
-check: build test lint absint regex-diff fingerprints models faults serve-smoke bench-smoke $(if $(BENCH),bench-compare)
+# The observability paths: CLI --stats, the machine-readable pipeline
+# bench JSON (rewrites BENCH_pipeline.json and BENCH_telemetry.json),
+# and the Prometheus exposition rendered from the bench snapshot,
+# linted for malformed names, missing or duplicate HELP/TYPE,
+# non-contiguous families and bad values.
+observability: build
 	dune exec bin/autotype_cli.exe -- synth --type credit-card --stats
 	dune exec bench/main.exe -- pipeline
 	@test -s BENCH_pipeline.json || { echo "BENCH_pipeline.json missing or empty"; exit 1; }
 	@test -s BENCH_telemetry.json || { echo "BENCH_telemetry.json missing or empty"; exit 1; }
 	dune exec bin/autotype_cli.exe -- stats --snapshot BENCH_telemetry.json --prom --lint > /dev/null
+
+# Full gate: build, test suites (the VM's parity with the tree-walking
+# reference evaluator and the fuzzers run there, DESIGN.md §14), the
+# CPython regex differential, the golden synthesis fingerprints, the
+# compile/serve smoke, the fault-injection smoke, the daemon smoke, the
+# benchmark smoke, and the observability paths.  Opt into the
+# parallel-determinism gate with BENCH=1.  CI runs each of these
+# targets once, as its own step.
+check: build test lint absint regex-diff fingerprints models faults serve-smoke bench-smoke observability $(if $(BENCH),bench-compare)
 	@echo "check: OK"
 
 clean:
