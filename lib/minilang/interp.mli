@@ -50,9 +50,9 @@ type outcome =
       (** step budget or call depth exhausted — the per-run {e work}
           bound of the paper's sandbox *)
   | Deadline_exceeded of string
-      (** past its wall-clock deadline — the per-request
-          {e time} bound; distinct from {!Hit_limit} so serving can
-          degrade rather than misreport a slow run as a spin loop *)
+      (** past its wall-clock deadline — the per-request {e time}
+          bound; distinct from {!Hit_limit} so serving can degrade
+          rather than misreport a slow run as a spin loop *)
 
 val builtin_names : string list
 (** Names resolvable as builtin free functions at runtime.  Exposed so
@@ -89,8 +89,8 @@ val run_traced :
   run_result
 (** Run a thunk under full tracing and sandbox limits.  An expired
     [deadline_ns] yields a [Deadline_exceeded] outcome (a deadline
-    already past on entry refuses to start the run at all).  Fault injection
-    ({!Faults.active}) may delay the run or kill it with an
+    already past on entry refuses to start the run at all).  Fault
+    injection ({!Faults.active}) may delay the run or kill it with an
     ["FaultInjected"] error outcome. *)
 
 val call_callable : ctx -> Value.t -> Value.t list -> Value.t

@@ -15,9 +15,8 @@
     the batch exactly as [k] single ticks in a row would: identical
     final step counts, identical raise points relative to observable
     events, and the wall-clock deadline probed exactly at step numbers
-    divisible by 256.  The
-    reference evaluator charges one tick per site and is the executable
-    form of this contract. *)
+    divisible by 256.  The reference evaluator charges one tick per
+    site and is the executable form of this contract. *)
 
 open Value
 

@@ -23,7 +23,7 @@ type conn = {
   c_out : Unix.file_descr;
   c_dec : Frame.decoder;
   c_owned : bool;  (** accepted by us → we close it; caller's → we don't *)
-  mutable c_eof : bool;  (** no more input: end of stream or a poisoned decoder *)
+  mutable c_eof : bool;  (** no more input: end of stream, poisoned decoder *)
   mutable c_dead : bool;  (** write error: nothing more can be sent *)
 }
 

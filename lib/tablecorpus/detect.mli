@@ -144,6 +144,7 @@ type per_type_result = {
 }
 
 val run :
-  ?seed:int -> ?pool:Exec.Pool.t -> Webtables.column list -> per_type_result list
+  ?seed:int -> ?pool:Exec.Pool.t -> Webtables.column list ->
+  per_type_result list
 (** All three methods on all 20 popular types (Figure 11 / Table 2).
     [pool] parallelizes the per-type synthesis runs' candidate tracing. *)

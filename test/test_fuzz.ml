@@ -5,6 +5,11 @@
 
 module Frame = Serve.Frame
 module J = Model.Jsonx
+module Repo = Repolib.Repo
+module Candidate = Repolib.Candidate
+
+let int = Random.State.int
+let pick rng a = a.(int rng (Array.length a))
 
 (* ------------------------ serve path: frames ------------------------ *)
 
@@ -15,15 +20,15 @@ let ipv4_values =
 let request rng id =
   let values () =
     J.List
-      (List.init
-         (1 + Random.State.int rng 4)
-         (fun _ ->
-           J.Str ipv4_values.(Random.State.int rng (Array.length ipv4_values))))
+      (List.init (1 + int rng 4) (fun _ -> J.Str (pick rng ipv4_values)))
+  in
+  let typed op =
+    [ ("op", J.Str op); ("type", J.Str "ipv4"); ("values", values ()) ]
   in
   let fields =
-    match Random.State.int rng 3 with
-    | 0 -> [ ("op", J.Str "validate"); ("type", J.Str "ipv4"); ("values", values ()) ]
-    | 1 -> [ ("op", J.Str "detect"); ("type", J.Str "ipv4"); ("values", values ()) ]
+    match int rng 3 with
+    | 0 -> typed "validate"
+    | 1 -> typed "detect"
     | _ -> [ ("op", J.Str "health") ]
   in
   J.to_string (J.Obj (("id", J.Int id) :: fields))
@@ -32,43 +37,37 @@ let request rng id =
 let flip rng s =
   let b = Bytes.of_string s in
   if Bytes.length b > 0 then
-    for _ = 1 to 1 + Random.State.int rng 3 do
-      Bytes.set b
-        (Random.State.int rng (Bytes.length b))
-        (Char.chr (Random.State.int rng 256))
+    for _ = 1 to 1 + int rng 3 do
+      Bytes.set b (int rng (Bytes.length b)) (Char.chr (int rng 256))
     done;
   Bytes.to_string b
 
-let garbage_line rng =
-  String.init (Random.State.int rng 12) (fun _ ->
-      Char.chr (32 + Random.State.int rng 95))
-  ^ "\n"
-
-(* One piece of a stream: a well-formed frame, or one that is damaged
-   in one of the ways a client or a link can damage it. *)
+(* One piece of a stream: a well-formed frame, or one damaged in one of
+   the ways a client or a link can damage it. *)
 let piece rng id =
   let p = request rng id in
-  match Random.State.int rng 10 with
+  let n = String.length p in
+  match int rng 10 with
   | 0 | 1 | 2 | 3 -> Frame.encode p
   | 4 -> Frame.encode (flip rng p)
   | 5 -> flip rng (Frame.encode p)
-  | 6 -> Printf.sprintf "%d\n%s\n" (String.length p + Random.State.int rng 7 - 3) p
-  | 7 -> garbage_line rng
-  | 8 -> Printf.sprintf "%d\n%s" (String.length p) p
+  | 6 -> Printf.sprintf "%d\n%s\n" (n + int rng 7 - 3) p  (* lying length *)
+  | 7 -> String.init (int rng 12) (fun _ -> Char.chr (32 + int rng 95)) ^ "\n"
+  | 8 -> Printf.sprintf "%d\n%s" n p  (* no terminator *)
   | _ ->
     let f = Frame.encode p in
-    String.sub f 0 (Random.State.int rng (String.length f))
+    String.sub f 0 (int rng (String.length f))
 
-(* A stream of pieces; an oversized header poisons the connection by
-   design, so it only ever comes last. *)
+(* An oversized header poisons the connection by design, so it only
+   ever comes last. *)
 let stream rng =
-  let pieces = List.init (5 + Random.State.int rng 25) (piece rng) in
-  let tail =
-    if Random.State.int rng 4 = 0 then
-      [ Printf.sprintf "%d\n" (Frame.max_payload + 1 + Random.State.int rng 1000) ]
+  let pieces = List.init (5 + int rng 25) (piece rng) in
+  let oversized =
+    if int rng 4 = 0 then
+      [ Printf.sprintf "%d\n" (Frame.max_payload + 1 + int rng 1000) ]
     else []
   in
-  String.concat "" (pieces @ tail)
+  String.concat "" (pieces @ oversized)
 
 let decode chunks =
   let dec = Frame.decoder () in
@@ -83,11 +82,12 @@ let decode chunks =
       drain [])
     chunks
 
+(* [s] in chunks of 1 to 64 bytes. *)
 let chunks rng s =
   let rec go off acc =
     if off >= String.length s then List.rev acc
     else
-      let n = min (1 + Random.State.int rng 64) (String.length s - off) in
+      let n = min (1 + int rng 64) (String.length s - off) in
       go (off + n) (String.sub s off n :: acc)
   in
   go 0 []
@@ -107,19 +107,16 @@ let test_frame_streams () =
   for seed = 1 to 1_000 do
     let rng = Random.State.make [| 0x5e7e; seed |] in
     let s = stream rng in
-    let items =
-      try decode [ s ]
-      with e -> Alcotest.failf "seed %d: decoder raised %s" seed (Printexc.to_string e)
+    let escaped what e =
+      Alcotest.failf "seed %d: %s raised %s" seed what (Printexc.to_string e)
     in
+    let items = try decode [ s ] with e -> escaped "the decoder" e in
     for _ = 1 to 3 do
       if decode (chunks rng s) <> items then
         Alcotest.failf "seed %d: a chunking changed the items" seed
     done;
     let ids =
-      try List.map reply_id items
-      with e ->
-        Alcotest.failf "seed %d: request_of_json raised %s" seed
-          (Printexc.to_string e)
+      try List.map reply_id items with e -> escaped "request_of_json" e
     in
     if seed mod 5 = 0 then begin
       Telemetry.enable ();
@@ -139,29 +136,35 @@ let test_frame_streams () =
 
 (* ---------------------- front end: MiniScript ----------------------- *)
 
+let source_chars = "():[]{}=+-*/%<>,.'\"\\#\n\t 0123456789abcdefxyz_"
+
+(* Replace, delete or insert one byte. *)
 let mutate_bytes rng src =
-  let alphabet = "():[]{}=+-*/%<>,.'\"\\#\n\t 0123456789abcdefxyz_" in
-  let pick () =
-    if Random.State.int rng 4 = 0 then Char.chr (Random.State.int rng 256)
-    else alphabet.[Random.State.int rng (String.length alphabet)]
+  let c () =
+    String.make 1
+      (if int rng 4 = 0 then Char.chr (int rng 256)
+       else source_chars.[int rng (String.length source_chars)])
   in
   let n = String.length src in
-  let at = Random.State.int rng (n + 1) in
+  let at = int rng (n + 1) in
   let rest from = String.sub src from (n - from) in
-  match Random.State.int rng 3 with
-  | 0 when at < n -> String.sub src 0 at ^ String.make 1 (pick ()) ^ rest (at + 1)
+  match int rng 3 with
+  | 0 when at < n -> String.sub src 0 at ^ c () ^ rest (at + 1)
   | 1 when at < n -> String.sub src 0 at ^ rest (at + 1)
-  | _ -> String.sub src 0 at ^ String.make 1 (pick ()) ^ rest at
+  | _ -> String.sub src 0 at ^ c () ^ rest at
 
+(* Delete, duplicate, swap or re-indent lines. *)
 let mutate_lines rng src =
   let lines = Array.of_list (String.split_on_char '\n' src) in
   let n = Array.length lines in
-  let i = Random.State.int rng n and j = Random.State.int rng n in
+  let i = int rng n and j = int rng n in
   let out =
-    match Random.State.int rng 4 with
+    match int rng 4 with
     | 0 -> List.filteri (fun k _ -> k <> i) (Array.to_list lines)
-    | 1 -> List.concat_map (fun k -> if k = i then [ lines.(k); lines.(k) ] else [ lines.(k) ])
-             (List.init n Fun.id)
+    | 1 ->
+      List.concat
+        (List.mapi (fun k l -> if k = i then [ l; l ] else [ l ])
+           (Array.to_list lines))
     | 2 ->
       let a = Array.copy lines in
       a.(i) <- lines.(j);
@@ -169,50 +172,52 @@ let mutate_lines rng src =
       Array.to_list a
     | _ ->
       let a = Array.copy lines in
-      a.(i) <- (if Random.State.bool rng then "    " ^ a.(i)
-                else String.trim a.(i));
+      a.(i) <-
+        (if Random.State.bool rng then "    " ^ a.(i) else String.trim a.(i));
       Array.to_list a
   in
   String.concat "\n" out
 
 let small = { Minilang.Interp.max_steps = 2_000; max_call_depth = 32 }
 
+(* Every corpus source, mutated five ways: each mutant parses or raises
+   a typed parse error, and each Direct candidate of a mutant that
+   parses runs with only [Infra_failure] escaping. *)
 let test_miniscript_mutants () =
   let rng = Random.State.make [| 0xf0f0 |] in
-  let files =
-    List.concat_map (fun (r : Repolib.Repo.t) -> r.Repolib.Repo.files)
-      Corpus.all_repos
+  let mutate (f : Repo.file) mutation =
+    let source = mutation rng f.Repo.source in
+    match Minilang.Parser.parse ~file:f.Repo.path source with
+    | exception (Minilang.Parser.Parse_error _ | Minilang.Lexer.Lex_error _)
+      ->
+      ()
+    | exception e ->
+      Alcotest.failf "%s: parse raised %s" f.Repo.path (Printexc.to_string e)
+    | _ ->
+      let repo = Repo.make "fuzz/mutant" "" [ { f with Repo.source } ] in
+      let run (c : Candidate.t) input =
+        match Repolib.Driver.run ~config:small c input with
+        | _ -> ()
+        | exception Repolib.Driver.Infra_failure _ -> ()
+        | exception e ->
+          Alcotest.failf "%s: run of %s raised %s" f.Repo.path
+            c.Candidate.func_name (Printexc.to_string e)
+      in
+      List.iter
+        (fun (c : Candidate.t) ->
+          if c.Candidate.invocation = Candidate.Direct then
+            List.iter (run c) [ "192.168.0.1"; ""; "978-3-16-148410-0" ])
+        (Repolib.Analyzer.candidates_of_repo repo)
   in
   List.iter
-    (fun (f : Repolib.Repo.file) ->
+    (fun (r : Repo.t) ->
       List.iter
-        (fun mutate ->
-          let source = mutate rng f.Repolib.Repo.source in
-          match Minilang.Parser.parse ~file:f.Repolib.Repo.path source with
-          | exception (Minilang.Parser.Parse_error _ | Minilang.Lexer.Lex_error _) -> ()
-          | exception e ->
-            Alcotest.failf "%s: parse raised %s" f.Repolib.Repo.path
-              (Printexc.to_string e)
-          | _ ->
-            let repo =
-              Repolib.Repo.make "fuzz/mutant" ""
-                [ { f with Repolib.Repo.source } ]
-            in
-            let run (c : Repolib.Candidate.t) input =
-              match Repolib.Driver.run ~config:small c input with
-              | _ -> ()
-              | exception Repolib.Driver.Infra_failure _ -> ()
-              | exception e ->
-                Alcotest.failf "%s: run of %s raised %s" f.Repolib.Repo.path
-                  c.Repolib.Candidate.func_name (Printexc.to_string e)
-            in
-            List.iter
-              (fun (c : Repolib.Candidate.t) ->
-                if c.Repolib.Candidate.invocation = Repolib.Candidate.Direct then
-                  List.iter (run c) [ "192.168.0.1"; ""; "978-3-16-148410-0" ])
-              (Repolib.Analyzer.candidates_of_repo repo))
-        [ mutate_bytes; mutate_bytes; mutate_bytes; mutate_lines; mutate_lines ])
-    files
+        (fun f ->
+          List.iter (mutate f)
+            [ mutate_bytes; mutate_bytes; mutate_bytes; mutate_lines;
+              mutate_lines ])
+        r.Repo.files)
+    Corpus.all_repos
 
 (* ------------------------ front end: regexes ------------------------ *)
 
@@ -222,32 +227,29 @@ let regex_atoms =
      "\\b"; "\\1"; ","; "0"; "9"; "*?"; "+?"; "??"; "(a*)*"; "(a|ab)+";
      "{99999}"; "{99999999999999999999}"; "(?="; "(?!"; "(?P<n>"; "(?P=n)" |]
 
+(* Patterns parse or raise [Parse_error]; a pattern that parses matches
+   random inputs without raising. *)
 let test_regex_patterns () =
   let rng = Random.State.make [| 0xe6e6 |] in
-  let random_input () =
-    String.init (Random.State.int rng 24) (fun _ -> "ab{}-0 \n".[Random.State.int rng 8])
-  in
-  for i = 1 to 20_000 do
+  let input () = String.init (int rng 24) (fun _ -> "ab{}-0 \n".[int rng 8]) in
+  for _ = 1 to 20_000 do
     let pattern =
-      String.concat ""
-        (List.init (Random.State.int rng 10) (fun _ ->
-             regex_atoms.(Random.State.int rng (Array.length regex_atoms))))
+      String.concat "" (List.init (int rng 10) (fun _ -> pick rng regex_atoms))
+    in
+    let raised what e =
+      Alcotest.failf "%S: %s raised %s" pattern what (Printexc.to_string e)
     in
     match Regexlite.parse pattern with
     | exception Regexlite.Parse_error _ -> ()
-    | exception e ->
-      Alcotest.failf "pattern %d %S: parse raised %s" i pattern (Printexc.to_string e)
+    | exception e -> raised "parse" e
     | re ->
       for _ = 1 to 3 do
-        let s = random_input () in
-        match
+        let s = input () in
+        try
           ignore (Regexlite.match_prefix re s);
           ignore (Regexlite.full_match re s);
           ignore (Regexlite.search re s)
-        with
-        | () -> ()
-        | exception e ->
-          Alcotest.failf "pattern %S on %S raised %s" pattern s (Printexc.to_string e)
+        with e -> raised (Printf.sprintf "matching %S" s) e
       done
   done
 
