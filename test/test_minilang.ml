@@ -436,15 +436,9 @@ def f(s):
     return "done"
 |}
   in
-  let prog = Parser.parse ~file:"test.py" src in
-  let scope, _ = Interp.load_module [ prog ] in
-  let f = Option.get (Value.scope_lookup scope "f") in
   let config = { Interp.max_steps = 50_000_000; max_call_depth = 48 } in
   let deadline_ns = Int64.add (Telemetry.now_ns ()) 2_000_000L in
-  let r =
-    Interp.run_traced ~config ~deadline_ns (fun ctx ->
-        Interp.call_callable ctx f [ Value.Vstr "x" ])
-  in
+  let r = run_function_opts ~config ~deadline_ns src "f" [ "x" ] in
   (match r.Interp.outcome with
    | Interp.Deadline_exceeded _ -> ()
    | o ->
