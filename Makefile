@@ -68,6 +68,8 @@ bench-compare:
 
 # Compile/serve smoke: compile example types into a scratch registry,
 # then serve a column through `detect --models` with no re-synthesis.
+# The ipv4 values must take the compiled tree that loading derives
+# (DESIGN.md §13): `serve.fastpath_hits` above zero.
 MODELS_DIR ?= _build/models_smoke
 models: build
 	rm -rf $(MODELS_DIR)
@@ -75,6 +77,7 @@ models: build
 	@printf '192.168.0.1\n10.0.0.7\n255.255.255.0\n8.8.8.8\n172.16.31.4\n' > $(MODELS_DIR)/column.txt
 	dune exec bin/autotype_cli.exe -- detect --column $(MODELS_DIR)/column.txt --models $(MODELS_DIR) --stats | tee $(MODELS_DIR)/detect.out
 	@grep -q "detected type ipv4" $(MODELS_DIR)/detect.out || { echo "served detection missed ipv4"; exit 1; }
+	@awk '$$1 == "serve.fastpath_hits" && $$2 > 0 { hit = 1 } END { exit !hit }' $(MODELS_DIR)/detect.out || { echo "no served value took a compiled tree"; exit 1; }
 	@echo "models: OK"
 
 # Fault-injection smoke: serve under injected delays/kills/corruption

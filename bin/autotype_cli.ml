@@ -406,9 +406,7 @@ let served_models registry =
       | Ok models ->
         (match Model.Registry.find registry key with
          | Error e -> Error (Model.Artifact.load_error_to_string e)
-         | Ok entry ->
-           let id = Model.Artifact.key entry.Model.Registry.artifact in
-           Ok ((id, Tablecorpus.Detect.Loaded entry) :: models)))
+         | Ok entry -> Ok ((key, Tablecorpus.Detect.Loaded entry) :: models)))
     (Ok []) (Model.Registry.keys registry)
 
 (** Scan one column against every [(type id, model)]: each column

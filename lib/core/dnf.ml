@@ -26,7 +26,6 @@ type result = {
   expanded : clause list;
       (** DNF-E of Appendix G: each representative replaced by the
           conjunction of its whole group *)
-  groups : group list;
   cov_p : int;
   cov_n : int;
   n_pos : int;
@@ -34,7 +33,7 @@ type result = {
 }
 
 let empty_result ~n_pos ~n_neg =
-  { clauses = []; expanded = []; groups = []; cov_p = 0; cov_n = 0; n_pos; n_neg }
+  { clauses = []; expanded = []; cov_p = 0; cov_n = 0; n_pos; n_neg }
 
 let clause_to_string (c : clause) =
   String.concat " \xe2\x88\xa7 " (List.map Feature.literal_to_string c)
@@ -208,7 +207,6 @@ let best_k_concise ?(k = 3) ?(theta = 0.3) (inst : instance) : result =
     {
       clauses;
       expanded;
-      groups;
       cov_p = pos_count inst covered;
       cov_n = neg_count inst covered;
       n_pos;
@@ -277,7 +275,6 @@ let best_complete ?(theta = 0.3) (inst : instance) : result =
     {
       clauses;
       expanded = clauses;
-      groups = [];
       cov_p = pos_count inst covered;
       cov_n = neg_count inst covered;
       n_pos;

@@ -10,19 +10,11 @@
 type clause = Feature.literal list
 (** A conjunction of literals. *)
 
-type group = {
-  representative : Feature.literal;
-  members : Feature.literal list;
-      (** all literals with identical example coverage *)
-  coverage : Bitset.t;
-}
-
 type result = {
   clauses : clause list;  (** the concise DNF, representatives only *)
   expanded : clause list;
       (** DNF-E (Appendix G): every representative replaced by the
           conjunction of its whole identical-coverage group *)
-  groups : group list;
   cov_p : int;  (** positives covered *)
   cov_n : int;  (** negatives covered (≤ θ·n_neg) *)
   n_pos : int;
@@ -41,10 +33,6 @@ val make_instance :
   positives:Feature.Literal_set.t list ->
   negatives:Feature.Literal_set.t list ->
   instance
-
-val build_groups : instance -> group list
-(** Partition of the literal space into identical-coverage groups
-    (Algorithm 1, line 1). *)
 
 val best_k_concise : ?k:int -> ?theta:float -> instance -> result
 (** Greedy Best-k-Concise-DNF-Cover.  Defaults: [k = 3], [theta = 0.3]

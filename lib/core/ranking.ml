@@ -103,19 +103,11 @@ let rename_literal site = function
   | Feature.Raised _ as l -> l
 
 let rename_dnf site (r : Dnf.result) : Dnf.result =
-  let lit = rename_literal site in
-  let clause = List.map lit in
+  let clause = List.map (rename_literal site) in
   {
     r with
     Dnf.clauses = List.map clause r.Dnf.clauses;
     expanded = List.map clause r.Dnf.expanded;
-    groups =
-      List.map
-        (fun (g : Dnf.group) ->
-          { g with
-            Dnf.representative = lit g.Dnf.representative;
-            members = List.map lit g.Dnf.members })
-        r.Dnf.groups;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -1,9 +1,10 @@
 (** Persistent model artifacts (see artifact.mli and DESIGN.md §9). *)
 
-(* v2 (DESIGN.md §13): adds the optional compiled fast-path summary.
-   Strict versioning — v1 artifacts are rejected with
+(* v3: the payload is the candidate's code, its DNF and provenance;
+   the compiled tree is derived at load (DESIGN.md §13).  Strict
+   versioning — older artifacts are rejected with
    [Version_unsupported] and must be recompiled. *)
-let format_version = 2
+let format_version = 3
 let magic = "AUTOTYPE-MODEL"
 let extension = ".model"
 
@@ -20,7 +21,6 @@ type provenance = {
 type t = {
   provenance : provenance;
   candidate : Repolib.Candidate.t;
-  driver : Minilang.Interp.config;
   dnf : Autotype_core.Dnf.result;
   summary : Absint.Domain.compiled option;
 }
@@ -53,7 +53,6 @@ let of_synthesis ~provenance (syn : Autotype_core.Synthesis.t) : t =
     candidate =
       { candidate with
         Repolib.Candidate.repo = slim_repo candidate.Repolib.Candidate.repo };
-    driver = Repolib.Driver.default_config;
     dnf = syn.Autotype_core.Synthesis.dnf;
     (* Resolved before slimming: absint facts are memoized against the
        original repo (the slimmed one has identical sources anyway). *)
@@ -271,60 +270,22 @@ let clauses_of_json j : Autotype_core.Dnf.clause list =
   List.map (fun c -> List.map literal_of_json (to_list c)) (to_list j)
 
 let json_of_dnf (d : Autotype_core.Dnf.result) : Jsonx.t =
-  let n_total = d.Autotype_core.Dnf.n_pos + d.Autotype_core.Dnf.n_neg in
-  let coverage_indices bs =
-    let rec go i acc =
-      if i < 0 then acc
-      else go (i - 1) (if Autotype_core.Bitset.mem bs i then Int i :: acc else acc)
-    in
-    List (go (n_total - 1) [])
-  in
   Obj
     [ ("n_pos", Int d.Autotype_core.Dnf.n_pos);
       ("n_neg", Int d.Autotype_core.Dnf.n_neg);
       ("cov_p", Int d.Autotype_core.Dnf.cov_p);
       ("cov_n", Int d.Autotype_core.Dnf.cov_n);
       ("clauses", json_of_clauses d.Autotype_core.Dnf.clauses);
-      ("expanded", json_of_clauses d.Autotype_core.Dnf.expanded);
-      ("groups",
-       List
-         (List.map
-            (fun (g : Autotype_core.Dnf.group) ->
-              Obj
-                [ ("members", List (List.map json_of_literal g.Autotype_core.Dnf.members));
-                  ("coverage", coverage_indices g.Autotype_core.Dnf.coverage) ])
-            d.Autotype_core.Dnf.groups)) ]
+      ("expanded", json_of_clauses d.Autotype_core.Dnf.expanded) ]
 
 let dnf_of_json j : Autotype_core.Dnf.result =
-  let n_pos = to_int (member "n_pos" j) in
-  let n_neg = to_int (member "n_neg" j) in
-  let n_total = n_pos + n_neg in
-  let groups =
-    List.map
-      (fun gj ->
-        let members = List.map literal_of_json (to_list (member "members" gj)) in
-        let coverage = Autotype_core.Bitset.create (max 1 n_total) in
-        List.iter
-          (fun idx ->
-            let i = to_int idx in
-            if i < 0 || i >= n_total then
-              raise (Decode_error "coverage index out of range");
-            Autotype_core.Bitset.set coverage i)
-          (to_list (member "coverage" gj));
-        match members with
-        | [] -> raise (Decode_error "empty literal group")
-        | representative :: _ ->
-          { Autotype_core.Dnf.representative; members; coverage })
-      (to_list (member "groups" j))
-  in
   {
     Autotype_core.Dnf.clauses = clauses_of_json (member "clauses" j);
     expanded = clauses_of_json (member "expanded" j);
-    groups;
     cov_p = to_int (member "cov_p" j);
     cov_n = to_int (member "cov_n" j);
-    n_pos;
-    n_neg;
+    n_pos = to_int (member "n_pos" j);
+    n_neg = to_int (member "n_neg" j);
   }
 
 let json_of_pipeline_config (c : Autotype_core.Pipeline.config) : Jsonx.t =
@@ -382,198 +343,11 @@ let provenance_of_json j : provenance =
     repos_searched = to_int (member "repos_searched" j);
   }
 
-(* --- compiled fast-path summary (v2) ------------------------------ *)
-
-let json_of_deriv (d : Absint.Domain.deriv) : Jsonx.t =
-  match d with
-  | Absint.Domain.Strip (chars, left, right) ->
-    Obj
-      [ ("t", Str "strip");
-        ("chars", match chars with Some c -> Str c | None -> Null);
-        ("left", Bool left);
-        ("right", Bool right) ]
-  | Absint.Domain.Lower -> Obj [ ("t", Str "lower") ]
-  | Absint.Domain.Upper -> Obj [ ("t", Str "upper") ]
-  | Absint.Domain.Replace (o, n) ->
-    Obj [ ("t", Str "replace"); ("old", Str o); ("new", Str n) ]
-
-let deriv_of_json j : Absint.Domain.deriv =
-  match to_str (member "t" j) with
-  | "strip" ->
-    Absint.Domain.Strip
-      ( (match member "chars" j with Null -> None | v -> Some (to_str v)),
-        to_bool (member "left" j),
-        to_bool (member "right" j) )
-  | "lower" -> Absint.Domain.Lower
-  | "upper" -> Absint.Domain.Upper
-  | "replace" ->
-    Absint.Domain.Replace (to_str (member "old" j), to_str (member "new" j))
-  | t -> raise (Decode_error ("unknown deriv tag " ^ t))
-
-let json_of_chain (ch : Absint.Domain.chain) : Jsonx.t =
-  List (List.map json_of_deriv ch)
-
-let chain_of_json j : Absint.Domain.chain =
-  List.map deriv_of_json (to_list j)
-
-let rmode_to_tag = function
-  | Absint.Domain.Rmatch -> "match"
-  | Absint.Domain.Rfullmatch -> "fullmatch"
-  | Absint.Domain.Rsearch -> "search"
-
-let rmode_of_tag = function
-  | "match" -> Absint.Domain.Rmatch
-  | "fullmatch" -> Absint.Domain.Rfullmatch
-  | "search" -> Absint.Domain.Rsearch
-  | t -> raise (Decode_error ("unknown regex mode " ^ t))
-
-let cclass_to_tag = function
-  | Absint.Domain.Cdigit -> "digit"
-  | Absint.Domain.Calpha -> "alpha"
-  | Absint.Domain.Calnum -> "alnum"
-  | Absint.Domain.Cspace -> "space"
-
-let cclass_of_tag = function
-  | "digit" -> Absint.Domain.Cdigit
-  | "alpha" -> Absint.Domain.Calpha
-  | "alnum" -> Absint.Domain.Calnum
-  | "space" -> Absint.Domain.Cspace
-  | t -> raise (Decode_error ("unknown char class " ^ t))
-
-let icmp_to_tag = function
-  | Absint.Domain.Clt -> "lt"
-  | Absint.Domain.Cle -> "le"
-  | Absint.Domain.Cgt -> "gt"
-  | Absint.Domain.Cge -> "ge"
-  | Absint.Domain.Ceq -> "eq"
-  | Absint.Domain.Cne -> "ne"
-
-let icmp_of_tag = function
-  | "lt" -> Absint.Domain.Clt
-  | "le" -> Absint.Domain.Cle
-  | "gt" -> Absint.Domain.Cgt
-  | "ge" -> Absint.Domain.Cge
-  | "eq" -> Absint.Domain.Ceq
-  | "ne" -> Absint.Domain.Cne
-  | t -> raise (Decode_error ("unknown comparison " ^ t))
-
-let json_of_atom (a : Absint.Domain.atom) : Jsonx.t =
-  match a with
-  | Absint.Domain.Regex (m, pat, ch) ->
-    Obj
-      [ ("t", Str "regex");
-        ("mode", Str (rmode_to_tag m));
-        ("pat", Str pat);
-        ("chain", json_of_chain ch) ]
-  | Absint.Domain.Char_class (c, ch) ->
-    Obj
-      [ ("t", Str "cclass");
-        ("class", Str (cclass_to_tag c));
-        ("chain", json_of_chain ch) ]
-  | Absint.Domain.Starts_with (p, ch) ->
-    Obj [ ("t", Str "starts"); ("lit", Str p); ("chain", json_of_chain ch) ]
-  | Absint.Domain.Ends_with (p, ch) ->
-    Obj [ ("t", Str "ends"); ("lit", Str p); ("chain", json_of_chain ch) ]
-  | Absint.Domain.Str_eq (lit, ch) ->
-    Obj [ ("t", Str "eq"); ("lit", Str lit); ("chain", json_of_chain ch) ]
-  | Absint.Domain.Contains (lit, ch) ->
-    Obj [ ("t", Str "contains"); ("lit", Str lit); ("chain", json_of_chain ch) ]
-  | Absint.Domain.Len_cmp (op, n, ch) ->
-    Obj
-      [ ("t", Str "len");
-        ("op", Str (icmp_to_tag op));
-        ("n", Int n);
-        ("chain", json_of_chain ch) ]
-
-let atom_of_json j : Absint.Domain.atom =
-  let chain () = chain_of_json (member "chain" j) in
-  match to_str (member "t" j) with
-  | "regex" ->
-    Absint.Domain.Regex
-      (rmode_of_tag (to_str (member "mode" j)), to_str (member "pat" j),
-       chain ())
-  | "cclass" ->
-    Absint.Domain.Char_class (cclass_of_tag (to_str (member "class" j)), chain ())
-  | "starts" -> Absint.Domain.Starts_with (to_str (member "lit" j), chain ())
-  | "ends" -> Absint.Domain.Ends_with (to_str (member "lit" j), chain ())
-  | "eq" -> Absint.Domain.Str_eq (to_str (member "lit" j), chain ())
-  | "contains" -> Absint.Domain.Contains (to_str (member "lit" j), chain ())
-  | "len" ->
-    Absint.Domain.Len_cmp
-      (icmp_of_tag (to_str (member "op" j)), to_int (member "n" j), chain ())
-  | t -> raise (Decode_error ("unknown atom tag " ^ t))
-
-let rec json_of_guard (g : Absint.Domain.guard) : Jsonx.t =
-  match g with
-  | Absint.Domain.Gconst b -> Obj [ ("t", Str "const"); ("v", Bool b) ]
-  | Absint.Domain.Gatom a -> Obj [ ("t", Str "atom"); ("atom", json_of_atom a) ]
-  | Absint.Domain.Gnot g -> Obj [ ("t", Str "not"); ("g", json_of_guard g) ]
-  | Absint.Domain.Gand (a, b) ->
-    Obj [ ("t", Str "and"); ("a", json_of_guard a); ("b", json_of_guard b) ]
-  | Absint.Domain.Gor (a, b) ->
-    Obj [ ("t", Str "or"); ("a", json_of_guard a); ("b", json_of_guard b) ]
-
-let rec guard_of_json j : Absint.Domain.guard =
-  match to_str (member "t" j) with
-  | "const" -> Absint.Domain.Gconst (to_bool (member "v" j))
-  | "atom" -> Absint.Domain.Gatom (atom_of_json (member "atom" j))
-  | "not" -> Absint.Domain.Gnot (guard_of_json (member "g" j))
-  | "and" ->
-    Absint.Domain.Gand
-      (guard_of_json (member "a" j), guard_of_json (member "b" j))
-  | "or" ->
-    Absint.Domain.Gor
-      (guard_of_json (member "a" j), guard_of_json (member "b" j))
-  | t -> raise (Decode_error ("unknown guard tag " ^ t))
-
-let rec json_of_compiled (t : Absint.Domain.compiled) : Jsonx.t =
-  match t with
-  | Absint.Domain.Leaf v -> Obj [ ("t", Str "leaf"); ("v", Bool v) ]
-  | Absint.Domain.Node { guard; if_true; if_false } ->
-    Obj
-      [ ("t", Str "node");
-        ("guard", json_of_guard guard);
-        ("then", json_of_compiled if_true);
-        ("else", json_of_compiled if_false) ]
-
-let rec compiled_of_json j : Absint.Domain.compiled =
-  match to_str (member "t" j) with
-  | "leaf" -> Absint.Domain.Leaf (to_bool (member "v" j))
-  | "node" ->
-    Absint.Domain.Node
-      {
-        guard = guard_of_json (member "guard" j);
-        if_true = compiled_of_json (member "then" j);
-        if_false = compiled_of_json (member "else" j);
-      }
-  | t -> raise (Decode_error ("unknown tree tag " ^ t))
-
 let payload_of (t : artifact) : Jsonx.t =
   Obj
     [ ("provenance", json_of_provenance t.provenance);
       ("candidate", json_of_candidate t.candidate);
-      ("driver",
-       Obj
-         [ ("max_steps", Int t.driver.Minilang.Interp.max_steps);
-           ("max_call_depth", Int t.driver.Minilang.Interp.max_call_depth) ]);
-      ("dnf", json_of_dnf t.dnf);
-      ("summary",
-       (match t.summary with Some s -> json_of_compiled s | None -> Null)) ]
-
-let of_payload j : artifact =
-  let dj = member "driver" j in
-  {
-    provenance = provenance_of_json (member "provenance" j);
-    candidate = candidate_of_json (member "candidate" j);
-    driver =
-      { Minilang.Interp.max_steps = to_int (member "max_steps" dj);
-        max_call_depth = to_int (member "max_call_depth" dj) };
-    dnf = dnf_of_json (member "dnf" j);
-    summary =
-      (match member "summary" j with
-       | Null -> None
-       | v -> Some (compiled_of_json v));
-  }
+      ("dnf", json_of_dnf t.dnf) ]
 
 (* ------------------------------------------------------------------ *)
 (* Framing: header line + checksummed payload line                     *)
@@ -608,20 +382,25 @@ let load_error_to_string = function
 
 (* A loaded model must not fail on every value it serves for a reason
    visible at load: every embedded source parses (into the parse cache
-   that serving then reuses), and so does every regex of a compiled
-   tree. *)
-let check_loadable (t : artifact) : (artifact, load_error) result =
-  match Repolib.Repo.parse_each t.candidate.Repolib.Candidate.repo with
+   that serving then reuses).  Only then is the compiled tree derived,
+   by this build's own proofs over the decoded code and DNF, so no tree
+   can disagree with the code it stands for. *)
+let of_payload j : (artifact, load_error) result =
+  let provenance = provenance_of_json (member "provenance" j) in
+  let candidate = candidate_of_json (member "candidate" j) in
+  let dnf = dnf_of_json (member "dnf" j) in
+  match Repolib.Repo.parse_each candidate.Repolib.Candidate.repo with
   | _, (file, line, msg) :: _ ->
     Error
       (Malformed
          (Printf.sprintf "embedded source %s:%d does not parse: %s" file line
             msg))
   | _, [] ->
-    (match t.summary with
-     | Some tree when Absint.Domain.prepare tree = None ->
-       Error (Malformed "a regex of the compiled tree does not parse")
-     | _ -> Ok t)
+    let summary =
+      Autotype_core.Summarize.compile
+        (Autotype_core.Synthesis.make candidate dnf)
+    in
+    Ok { provenance; candidate; dnf; summary }
 
 let encode (t : artifact) : string =
   let payload = Jsonx.to_string (payload_of t) in
@@ -660,9 +439,8 @@ let decode (contents : string) : (artifact, load_error) result =
              match Jsonx.parse payload with
              | Error msg -> Error (Malformed msg)
              | Ok j ->
-               (match of_payload j with
-                | t -> check_loadable t
-                | exception Jsonx.Decode_error msg -> Error (Malformed msg))
+               (try of_payload j
+                with Jsonx.Decode_error msg -> Error (Malformed msg))
            end
        end
      | _ -> Error (Not_a_model ("bad header line: " ^ header)))

@@ -3,13 +3,12 @@
 
     An artifact is a self-contained, versioned serialization of one
     synthesized validator [F'(s)] (Section 5.3, Algorithm 3): the
-    candidate's MiniScript sources and invocation plan, the interpreter
-    sandbox config, the concise DNF and DNF-E with their
-    identical-coverage groups, and provenance (query, seed, pipeline
-    config, mutation strategy, train-set coverage stats).  Loading an
-    artifact rebuilds a {!Autotype_core.Synthesis.t} whose verdicts are
-    byte-identical to the in-memory synthesizer — no code search, no
-    candidate analysis, no negative generation.
+    candidate's MiniScript sources and invocation plan, the concise DNF
+    and DNF-E with train-set coverage stats, and provenance (query,
+    seed, pipeline config, mutation strategy, search stats).  Loading
+    an artifact rebuilds a {!Autotype_core.Synthesis.t} whose verdicts
+    are byte-identical to the in-memory synthesizer — no code search,
+    no candidate analysis, no negative generation.
 
     {2 On-disk format}
 
@@ -17,7 +16,7 @@
 
     {v
     AUTOTYPE-MODEL v<version> md5=<32 hex digits>
-    {"provenance":{...},"candidate":{...},"driver":{...},"dnf":{...}}
+    {"provenance":{...},"candidate":{...},"dnf":{...}}
     v}
 
     The checksum is MD5 over the exact payload bytes; any truncation or
@@ -47,15 +46,17 @@ type t = {
   candidate : Repolib.Candidate.t;
       (** carries a slimmed repository: sources needed for execution,
           with ground-truth annotations stripped *)
-  driver : Minilang.Interp.config;  (** sandbox limits used when serving *)
   dnf : Autotype_core.Dnf.result;
       (** concise DNF, DNF-E and train-set coverage stats *)
   summary : Absint.Domain.compiled option;
-      (** interpreter-free fast path (format v2, DESIGN.md §13): a
-          verdict tree proven by the abstract interpreter to reproduce
-          [Synthesis.validate] exactly.  [None] whenever the candidate
-          lacks a proven (pure, terminating, summarizable) analysis —
-          serving then uses the interpreter for every value. *)
+      (** interpreter-free fast path (DESIGN.md §13):
+          {!Autotype_core.Summarize.compile} of the candidate and DNF,
+          a verdict tree proven by the abstract interpreter to
+          reproduce [Synthesis.validate] exactly.  Never stored: it is
+          derived when the artifact is built and again when it is
+          decoded.  [None] whenever the candidate lacks a proven (pure,
+          terminating, summarizable) analysis — serving then uses the
+          interpreter for every value. *)
 }
 
 (** {1 Compile: exporting} *)
@@ -90,8 +91,8 @@ type load_error =
       (** truncated or corrupted payload *)
   | Malformed of string
       (** checksum passed but the payload is not a well-formed artifact
-          (writer bug), or an embedded source (named with its line) or
-          a compiled tree's regex does not parse *)
+          (writer bug), or an embedded source (named with its line)
+          does not parse *)
 
 val load_error_to_string : load_error -> string
 (** One-line diagnosis; always names the artifact format version
@@ -102,9 +103,9 @@ val encode : t -> string
 
 val decode : string -> (t, load_error) result
 (** Also parses every embedded source, through {!Repolib.Repo.parse_each}
-    whose cache serving then reuses, and prepares the compiled tree if
-    there is one: a model that decodes cannot fail on every value for a
-    reason visible at load. *)
+    whose cache serving then reuses, so a model that decodes cannot
+    fail on every value for a reason visible at load; then derives
+    [summary] from the decoded code and DNF. *)
 
 val save : t -> string -> (unit, string) result
 (** Write atomically (temp file + rename); records a [model.save]

@@ -1,4 +1,4 @@
-(** Model registry: directory of artifacts + index + in-memory LRU
+(** Model registry: a directory of artifacts + in-memory LRU
     (see registry.mli). *)
 
 type entry = {
@@ -23,7 +23,6 @@ type t = {
   dir : string;
   capacity : int;
   lock : Mutex.t;
-  mutable index : (string * string) list;  (** key -> file name (no dir) *)
   cache : (string, cached) Hashtbl.t;
   mutable clock : int;
   mutable hits : int;
@@ -39,129 +38,56 @@ let m_retry_attempts = Telemetry.counter "retry.attempts"
 let m_retry_recovered = Telemetry.counter "retry.recovered"
 let m_retry_gave_up = Telemetry.counter "retry.gave_up"
 
-let index_file = "index.json"
-
 let dir t = t.dir
 
 (* ------------------------------------------------------------------ *)
-(* Index persistence                                                   *)
+(* Keys: the directory's model file names                              *)
 (* ------------------------------------------------------------------ *)
 
-let index_path dir = Filename.concat dir index_file
+(* A key names a file directly inside the directory that a listing
+   shows: never empty, no leading dot, no path separator.  [find] gets
+   keys straight from requests, so this is what keeps it inside. *)
+let valid_key key =
+  key <> "" && key.[0] <> '.' && not (String.contains key '/')
 
-let write_index dir (index : (string * string) list) : (unit, string) result =
-  let json =
-    Jsonx.Obj
-      [ ("version", Jsonx.Int Artifact.format_version);
-        ("models",
-         Jsonx.Obj
-           (List.map (fun (k, f) -> (k, Jsonx.Str f))
-              (List.sort compare index))) ]
-  in
-  let path = index_path dir in
-  let tmp = path ^ ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    output_string oc (Jsonx.to_string json);
-    output_char oc '\n';
-    close_out oc;
-    Sys.rename tmp path
-  with
-  | () -> Ok ()
+let file_of_key t key = Filename.concat t.dir (key ^ Artifact.extension)
+
+let list_keys t : (string list, string) result =
+  match Sys.readdir t.dir with
   | exception Sys_error msg -> Error msg
-
-let read_index dir : ((string * string) list option, string) result =
-  let path = index_path dir in
-  if not (Sys.file_exists path) then Ok None
-  else
-    match
-      let ic = open_in_bin path in
-      let contents = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      contents
-    with
-    | exception Sys_error msg -> Error msg
-    | contents ->
-      (match Jsonx.parse contents with
-       | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-       | Ok j ->
-         (match
-            List.map
-              (fun (k, v) -> (k, Jsonx.to_str v))
-              (match Jsonx.member "models" j with
-               | Jsonx.Obj fields -> fields
-               | _ -> raise (Jsonx.Decode_error "models must be an object"))
-          with
-          | index -> Ok (Some index)
-          | exception Jsonx.Decode_error msg ->
-            Error (Printf.sprintf "%s: %s" path msg)))
+  | names ->
+    Ok
+      (Array.to_list names
+      |> List.filter_map (fun name ->
+             if Filename.check_suffix name Artifact.extension then
+               let key = Filename.chop_suffix name Artifact.extension in
+               if valid_key key then Some key else None
+             else None)
+      |> List.sort compare)
 
 (* ------------------------------------------------------------------ *)
 (* Opening                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let is_model_file name =
-  Filename.check_suffix name Artifact.extension
-
-(* No index: derive one by loading every artifact in the directory.
-   A corrupt artifact fails the open with its precise load error —
-   better a loud refusal than silently serving a partial registry. *)
-let scan_dir dir : ((string * string) list, string) result =
-  match Sys.readdir dir with
-  | exception Sys_error msg -> Error msg
-  | names ->
-    let files =
-      Array.to_list names |> List.filter is_model_file |> List.sort compare
-    in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | name :: rest ->
-        (match Artifact.load (Filename.concat dir name) with
-         | Ok art -> go ((Artifact.key art, name) :: acc) rest
-         | Error e ->
-           Error
-             (Printf.sprintf "%s: %s" name (Artifact.load_error_to_string e)))
-    in
-    go [] files
-
-let make ?(capacity = default_capacity) dir index =
-  {
-    dir;
-    capacity = max 1 capacity;
-    lock = Mutex.create ();
-    index;
-    cache = Hashtbl.create 16;
-    clock = 0;
-    hits = 0;
-    misses = 0;
-  }
-
-let open_dir ?capacity dir : (t, string) result =
+let open_dir ?(capacity = default_capacity) dir : (t, string) result =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (Printf.sprintf "model registry %s: no such directory" dir)
   else
-    match read_index dir with
-    | Error msg -> Error msg
-    | Ok (Some index) -> Ok (make ?capacity dir index)
-    | Ok None ->
-      (match scan_dir dir with
-       | Error msg -> Error (Printf.sprintf "model registry %s: %s" dir msg)
-       | Ok index -> Ok (make ?capacity dir index))
+    Ok
+      {
+        dir;
+        capacity = max 1 capacity;
+        lock = Mutex.create ();
+        cache = Hashtbl.create 16;
+        clock = 0;
+        hits = 0;
+        misses = 0;
+      }
 
 let create_dir ?capacity dir : (t, string) result =
-  match
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-    else if not (Sys.is_directory dir) then
-      failwith (dir ^ " exists and is not a directory")
-  with
+  match if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with
   | exception Sys_error msg -> Error msg
-  | exception Failure msg -> Error msg
-  | () ->
-    if Sys.file_exists (index_path dir) then open_dir ?capacity dir
-    else
-      (match write_index dir [] with
-       | Error msg -> Error msg
-       | Ok () -> Ok (make ?capacity dir []))
+  | () -> open_dir ?capacity dir
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -177,14 +103,10 @@ let with_lock t f =
     Mutex.unlock t.lock;
     raise e
 
-let keys t =
-  with_lock t (fun () -> List.sort compare (List.map fst t.index))
-
-let mem t key = with_lock t (fun () -> List.mem_assoc key t.index)
+let keys t = match list_keys t with Ok keys -> keys | Error _ -> []
 
 let path_of t key =
-  with_lock t (fun () ->
-      Option.map (Filename.concat t.dir) (List.assoc_opt key t.index))
+  if List.mem key (keys t) then Some (file_of_key t key) else None
 
 (* ------------------------------------------------------------------ *)
 (* Save                                                                *)
@@ -192,17 +114,15 @@ let path_of t key =
 
 let save t (art : Artifact.t) : (string, string) result =
   let key = Artifact.key art in
-  let name = key ^ Artifact.extension in
-  let path = Filename.concat t.dir name in
-  match Artifact.save art path with
-  | Error msg -> Error msg
-  | Ok () ->
-    with_lock t (fun () ->
-        t.index <- (key, name) :: List.remove_assoc key t.index;
-        Hashtbl.remove t.cache key;
-        match write_index t.dir t.index with
-        | Ok () -> Ok path
-        | Error msg -> Error msg)
+  if not (valid_key key) then
+    Error (Printf.sprintf "model key %S cannot name a registry file" key)
+  else
+    let path = file_of_key t key in
+    match Artifact.save art path with
+    | Error msg -> Error msg
+    | Ok () ->
+      with_lock t (fun () -> Hashtbl.remove t.cache key);
+      Ok path
 
 (* ------------------------------------------------------------------ *)
 (* Serve: LRU-cached find                                              *)
@@ -262,7 +182,9 @@ let load_with_retry path : (Artifact.t, Artifact.load_error) result =
    asking for the same model wait rather than re-reading and
    re-verifying the same file, so each artifact is loaded at most once
    while resident.  Retry backoff (a handful of ms worst case) sleeps
-   under the lock for the same reason — a torn file serves nobody. *)
+   under the lock for the same reason — a torn file serves nobody.  A
+   miss opens a file only for a key the directory listing returns, and
+   a model filed under another key's name is malformed. *)
 let find t key : (entry, Artifact.load_error) result =
   with_lock t (fun () ->
       t.clock <- t.clock + 1;
@@ -275,18 +197,22 @@ let find t key : (entry, Artifact.load_error) result =
       | None ->
         t.misses <- t.misses + 1;
         Telemetry.incr m_misses;
-        (match List.assoc_opt key t.index with
-         | None ->
+        (match list_keys t with
+         | Error msg -> Error (Artifact.File_error msg)
+         | Ok keys when not (List.mem key keys) ->
            Error
              (Artifact.File_error
                 (Printf.sprintf "no model for %S in registry %s (available: %s)"
                    key t.dir
-                   (match List.map fst t.index with
-                    | [] -> "none"
-                    | ks -> String.concat ", " (List.sort compare ks))))
-         | Some name ->
-           (match load_with_retry (Filename.concat t.dir name) with
+                   (match keys with [] -> "none" | ks -> String.concat ", " ks)))
+         | Ok _ ->
+           (match load_with_retry (file_of_key t key) with
             | Error e -> Error e
+            | Ok artifact when Artifact.key artifact <> key ->
+              Error
+                (Artifact.Malformed
+                   (Printf.sprintf "%s%s holds the model keyed %S" key
+                      Artifact.extension (Artifact.key artifact)))
             | Ok artifact ->
               let entry = entry_of_artifact artifact in
               evict_lru t;

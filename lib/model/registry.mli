@@ -1,9 +1,10 @@
 (** The model registry: the serve half of the compile/serve split
     (DESIGN.md §9).
 
-    A registry is a directory of [.model] artifacts plus an
-    [index.json] mapping registry keys (benchmark type ids, or query
-    slugs) to file names.  Loaded models are kept in a bounded
+    A registry is a directory of [.model] artifacts, and its keys
+    (benchmark type ids, or query slugs) are their file names: the key
+    [ipv4] is the file [ipv4.model], which must hold the model whose
+    {!Artifact.key} is [ipv4].  Loaded models are kept in a bounded
     in-memory LRU shared across columns and guarded by a mutex, so the
     execution engine's domains ([--jobs N]) can serve from one registry
     concurrently; each artifact is read and verified at most once while
@@ -20,7 +21,7 @@ type entry = {
   tree : bool Absint.Domain.prepared_tree option;
       (** the artifact's compiled verdict tree with its regexes parsed,
           prepared once here; [None] when the artifact has no summary
-          or a stored regex no longer parses *)
+          or a regex of it does not parse *)
 }
 
 val entry_of_artifact : Artifact.t -> entry
@@ -31,34 +32,35 @@ val default_capacity : int
 (** LRU capacity (number of resident models) when not overridden. *)
 
 val open_dir : ?capacity:int -> string -> (t, string) result
-(** Open an existing registry directory.  Reads [index.json] when
-    present; otherwise falls back to scanning for [*.model] files (keys
-    then come from each artifact's own metadata).  No artifact payloads
-    are loaded eagerly in the indexed case.  [Error] when the directory
-    does not exist. *)
+(** Open an existing registry directory.  Loads nothing: a bad artifact
+    shows when {!find} loads it.  [Error] when the directory does not
+    exist. *)
 
 val create_dir : ?capacity:int -> string -> (t, string) result
-(** Like {!open_dir} but creates the directory (and a fresh index) when
-    missing. *)
+(** Like {!open_dir} but creates the directory when missing. *)
 
 val dir : t -> string
 
 val keys : t -> string list
-(** Indexed keys, sorted. *)
-
-val mem : t -> string -> bool
+(** The names, sorted and without the suffix, of the directory's
+    [*.model] files; a name that is empty or starts with a dot is not a
+    key. *)
 
 val path_of : t -> string -> string option
-(** Absolute path of the artifact registered under a key. *)
+(** Path of the artifact under a key, when {!keys} lists it. *)
 
 val save : t -> Artifact.t -> (string, string) result
-(** Write the artifact into the registry under {!Artifact.key} and
-    update [index.json]; returns the file path.  Replaces any previous
-    model under the same key and drops the stale cache entry. *)
+(** Write the artifact as [<key>.model] under {!Artifact.key}; returns
+    the file path.  Replaces any previous model under the same key and
+    drops the stale cache entry.  [Error] when the key cannot name a
+    file of the directory. *)
 
 val find : t -> string -> (entry, Artifact.load_error) result
 (** Serve a model by key: LRU hit, or load-and-verify from disk (miss).
-    [Error (File_error _)] when the key is not in the registry.
+    A miss opens a file only for a key that {!keys} lists: any other
+    key, such as [""], [".hidden"] or ["../elsewhere/ipv4"], is
+    [Error (File_error _)] naming the available keys.  A file whose
+    artifact has another key is [Error (Malformed _)].
 
     Transient load failures (unreadable file, checksum mismatch — both
     can be a torn read racing a writer) are retried up to 2 times with

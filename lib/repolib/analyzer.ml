@@ -437,14 +437,15 @@ let module_info (repo : Repo.t) : module_info =
 
 (* The absint proofs tie a candidate's AST to the function the driver
    will invoke at runtime by *name*.  That link is only sound when the
-   name is bound exactly once across the repository: one top-level
-   [def] (in any file's top-level control flow), no other top-level
-   rebinding (assignment, for-target, class, try-binder), and no
-   [global] declaration of it anywhere that could rebind the module
-   slot from inside a call.  Anything ambiguous → [None]. *)
+   name is bound exactly once across the repository, by a [def]
+   directly at a file's top level that module loading provably reaches
+   (only inert statements precede it, the clone key's rule), with no
+   other module-level rebinding (assignment, for-target, class,
+   try-binder) and no [global] declaration of it anywhere that could
+   rebind the module slot from inside a call.  Anything else → [None]. *)
 let unique_toplevel_func (m : module_info) name : func option =
   match Hashtbl.find_opt m.bindings name with
-  | Some [ Def (f, _) ] -> Some f
+  | Some [ Def (f, Some (fi, si)) ] when si < m.safe_len.(fi) -> Some f
   | _ -> None
 
 let compute_absint (c : Candidate.t) : Absint.Domain.facts =

@@ -1,10 +1,11 @@
 (** Tests for lib/absint: the proved facts (purity, step bounds,
-    symbolic summaries) on fixture candidates, exact parity of compiled
-    summaries with the concrete interpreter on truthiness edge cases,
-    the min-law of [Driver.config_for] when the spin hint and the
-    absint bound disagree, v2 artifact round-trips of the compiled
-    summary, rejection of v1 artifacts, and the serving fast path with
-    its oversize-value fallback. *)
+    symbolic summaries) on fixture candidates, none for a [def] that
+    module load never reaches, exact parity of compiled summaries with
+    the concrete interpreter on truthiness edge cases, the min-law of
+    [Driver.config_for] when the spin hint and the absint bound
+    disagree, the compiled summary that an artifact derives again when
+    it is decoded, rejection of the previous artifact version, and the
+    serving fast path with its oversize-value fallback. *)
 
 let repo_of src =
   Repolib.Repo.make "test/absint-fixture" "fixture"
@@ -124,8 +125,33 @@ def looper(value):
   Alcotest.(check bool) "data loop has no summary" true
     (facts.Absint.Domain.summary = None)
 
-(* Satellite: when the loop pass's spin hint and the absint bound
-   disagree, the effective budget is their minimum. *)
+(* Module load stops at the NameError of [importre], so [check] is
+   never defined and every run fails.  The proofs must not describe a
+   function the run cannot call: a summary here would let a served
+   tree answer where the interpreter cannot. *)
+let test_unreached_def_has_no_facts () =
+  let repo =
+    repo_of
+      {|importre
+def check(value):
+    if re.match("[0-9]+", value):
+        return True
+    return False
+|}
+  in
+  let c = candidate_named repo "check" in
+  (match (Repolib.Driver.run_safe c "123").Minilang.Interp.outcome with
+   | Minilang.Interp.Finished _ ->
+     Alcotest.fail "a def after a failing statement must not run"
+   | _ -> ());
+  let facts = Repolib.Analyzer.absint_facts c in
+  Alcotest.(check bool) "not proven pure" false facts.Absint.Domain.pure;
+  Alcotest.(check bool) "no step bound" true
+    (facts.Absint.Domain.bound = Absint.Domain.Bound_unknown);
+  Alcotest.(check bool) "no summary" true (facts.Absint.Domain.summary = None)
+
+(* When the loop pass's spin hint and the absint bound disagree, the
+   effective budget is their minimum. *)
 let test_config_for_min_of_hints () =
   let repo =
     repo_of
@@ -198,7 +224,7 @@ let test_terminating_bound_instantiates_with_len () =
     Alcotest.failf "expected Terminates, got %s"
       (Absint.Domain.bound_to_string other)
 
-(* ------------------------- artifacts (v2) --------------------------- *)
+(* ------------------------- artifacts ------------------------------- *)
 
 let compiled_ipv4 = lazy (
   let ty = Semtypes.Registry.find_exn "ipv4" in
@@ -224,14 +250,15 @@ let test_artifact_roundtrips_summary () =
     Alcotest.(check bool) "summary tree survives the round-trip" true
       (decoded.Model.Artifact.summary = artifact.Model.Artifact.summary)
 
-let test_v1_artifact_rejected () =
-  (* Satellite: the format-version bump is strict — a v1 header is
-     rejected with Version_unsupported before the payload is touched. *)
+let test_previous_version_rejected () =
+  (* The format-version bump is strict: a header of the previous
+     version is rejected with Version_unsupported before the payload is
+     touched. *)
   let bytes = Model.Artifact.encode (artifact_ipv4 ()) in
   let v_cur =
     Printf.sprintf "%s v%d " Model.Artifact.magic Model.Artifact.format_version
   in
-  let v_old = Printf.sprintf "%s v1 " Model.Artifact.magic in
+  let v_old = Printf.sprintf "%s v2 " Model.Artifact.magic in
   if String.length bytes < String.length v_cur
      || String.sub bytes 0 (String.length v_cur) <> v_cur
   then Alcotest.fail "artifact header not in expected form";
@@ -242,13 +269,13 @@ let test_v1_artifact_rejected () =
   in
   match Model.Artifact.decode downgraded with
   | Error (Model.Artifact.Version_unsupported { found; supported }) ->
-    Alcotest.(check int) "found v1" 1 found;
-    Alcotest.(check int) "supports v2" Model.Artifact.format_version supported
+    Alcotest.(check int) "found v2" 2 found;
+    Alcotest.(check int) "supports v3" 3 supported
   | Error e ->
     Alcotest.fail
       ("expected version-unsupported, got: "
       ^ Model.Artifact.load_error_to_string e)
-  | Ok _ -> Alcotest.fail "v1 artifact must not load"
+  | Ok _ -> Alcotest.fail "a v2 artifact must not load"
 
 (* ------------------------- serving fast path ------------------------ *)
 
@@ -322,14 +349,16 @@ let suite =
       test_truthiness_edges;
     Alcotest.test_case "unknown constructs yield unknown facts" `Quick
       test_unknown_constructs_yield_unknown;
+    Alcotest.test_case "a def that module load never reaches" `Quick
+      test_unreached_def_has_no_facts;
     Alcotest.test_case "config_for takes the min of conflicting hints" `Quick
       test_config_for_min_of_hints;
     Alcotest.test_case "termination bound instantiates with input_len" `Quick
       test_terminating_bound_instantiates_with_len;
     Alcotest.test_case "v2 artifact round-trips the summary" `Slow
       test_artifact_roundtrips_summary;
-    Alcotest.test_case "v1 artifact is rejected" `Slow
-      test_v1_artifact_rejected;
+    Alcotest.test_case "previous artifact version is rejected" `Slow
+      test_previous_version_rejected;
     Alcotest.test_case "serve fast path hits and oversize fallback" `Slow
       test_serve_fastpath_and_fallback;
     Alcotest.test_case "serve route parity on the ipv4 workload" `Slow

@@ -1,6 +1,6 @@
 (** Tests of the compile/serve split (DESIGN.md §9): the Jsonx codec,
     artifact round-trips, corruption/version rejection, and the model
-    registry's LRU serving path. *)
+    registry's file-name keys and LRU serving path. *)
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -262,10 +262,12 @@ let test_unparseable_source_rejected () =
    each with its checksum recomputed and then served: a mutant either
    fails to decode with a typed error, or every embedded source parses
    (checked without the parse cache) and serving answers every value
-   with no exception escaping. *)
+   with no exception escaping, and with the verdicts that the mutant's
+   own code and DNF give. *)
 let test_artifact_mutations () =
   let rng = Random.State.make [| 0x4D07; 17 |] in
   let decoded = ref 0 and unparsed = ref [] and escaped = ref [] in
+  let diverged = ref [] in
   List.iter
     (fun id ->
       let encoded = Model.Artifact.encode (artifact_for id) in
@@ -303,14 +305,28 @@ let test_artifact_mutations () =
                (Tablecorpus.Detect.Loaded (Model.Registry.entry_of_artifact a))
                values
            with
-           | _ -> ()
+           | served ->
+             let direct =
+               List.map
+                 (fun v ->
+                   if Autotype_core.Synthesis.validate
+                        (Model.Artifact.to_synthesis a) v
+                   then Tablecorpus.Detect.V_valid
+                   else Tablecorpus.Detect.V_invalid)
+                 values
+             in
+             if served <> direct then
+               diverged :=
+                 Printf.sprintf "%s mutant %d" id !decoded :: !diverged
            | exception e -> escaped := Printexc.to_string e :: !escaped)
       done)
     roundtrip_type_ids;
   Alcotest.(check bool) "some mutants decode" true (!decoded > 0);
   Alcotest.(check (list string)) "decoded mutants whose sources do not parse" []
     !unparsed;
-  Alcotest.(check (list string)) "exceptions escaping serving" [] !escaped
+  Alcotest.(check (list string)) "exceptions escaping serving" [] !escaped;
+  Alcotest.(check (list string)) "served verdicts that the code does not give"
+    [] !diverged
 
 let save_one_to dir =
   let artifact = artifact_for "ipv4" in
@@ -515,10 +531,10 @@ let test_serving_runs_no_pipeline () =
   Alcotest.(check int) "one load span" 1
     (List.length (Telemetry.spans_named "model.load"))
 
-(* -------------------- registry/index desync ------------------------ *)
+(* ------------------- registry keys are file names ------------------ *)
 
-(* A registry directory whose index.json knows about exactly one model
-   (ipv4), built through the registry's own save path. *)
+(* A registry directory holding exactly one model (ipv4), built through
+   the registry's own save path. *)
 let registry_with_ipv4 dir =
   (match Model.Registry.create_dir dir with
    | Error m -> Alcotest.fail m
@@ -527,77 +543,133 @@ let registry_with_ipv4 dir =
       | Ok _ -> ()
       | Error m -> Alcotest.fail m))
 
-let find_model_file dir =
-  match
-    List.find_opt
-      (fun f -> Filename.check_suffix f Model.Artifact.extension)
-      (Array.to_list (Sys.readdir dir))
-  with
-  | Some f -> Filename.concat dir f
-  | None -> Alcotest.fail "no .model file in registry dir"
+let model_file dir key = Filename.concat dir (key ^ Model.Artifact.extension)
+
+let expect_file_error what = function
+  | Error (Model.Artifact.File_error msg) -> msg
+  | Error e ->
+    Alcotest.fail
+      (what ^ ": expected file error, got: "
+      ^ Model.Artifact.load_error_to_string e)
+  | Ok _ -> Alcotest.fail (what ^ " must not serve")
 
 let test_registry_index_desync () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   registry_with_ipv4 dir;
-  (* The index survives; the artifact it points to does not. *)
-  Sys.remove (find_model_file dir);
+  (match Model.Registry.open_dir dir with
+   | Error m -> Alcotest.fail m
+   | Ok registry ->
+     (match
+        Model.Registry.save registry
+          (Model.Artifact.with_type_id "spare" (artifact_for "ipv4"))
+      with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m));
+  (* The directory is the registry: a deleted file is no longer a key. *)
+  Sys.remove (model_file dir "ipv4");
   Telemetry.enable ();
   Telemetry.reset ();
   (match Model.Registry.open_dir dir with
    | Error m -> Alcotest.fail m
    | Ok registry ->
-     Alcotest.(check bool) "index still lists ipv4" true
-       (Model.Registry.mem registry "ipv4");
-     (match Model.Registry.find registry "ipv4" with
-      | Error (Model.Artifact.File_error _) -> ()
-      | Error e ->
-        Alcotest.fail
-          ("expected file error, got: "
-          ^ Model.Artifact.load_error_to_string e)
-      | Ok _ -> Alcotest.fail "deleted artifact must not serve"));
+     Alcotest.(check (list string)) "keys are the model files" [ "spare" ]
+       (Model.Registry.keys registry);
+     let msg =
+       expect_file_error "deleted artifact" (Model.Registry.find registry "ipv4")
+     in
+     Alcotest.(check bool) (msg ^ " names the available keys") true
+       (contains ~needle:"spare" msg));
   Telemetry.disable ();
   let snap = Telemetry.snapshot () in
-  (* A missing file is transient (it may be a racing writer), so the
-     bounded retry runs to exhaustion before giving up. *)
-  Alcotest.(check int) "retry attempts exhausted" 2
+  Alcotest.(check int) "an unlisted key is not retried" 0
     (Telemetry.find_counter snap "retry.attempts");
-  Alcotest.(check int) "gave up once" 1
-    (Telemetry.find_counter snap "retry.gave_up")
+  Alcotest.(check int) "nor opened" 0
+    (List.length (Telemetry.spans_named "model.load"))
 
 let test_registry_orphan_model () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   registry_with_ipv4 dir;
-  (* A .model file the index does not know about. *)
-  write_file
-    (Filename.concat dir ("orphan" ^ Model.Artifact.extension))
-    "not even a model";
+  (* A .model file that holds no model is still a key. *)
+  write_file (model_file dir "orphan") "not even a model";
   match Model.Registry.open_dir dir with
   | Error m -> Alcotest.fail m
   | Ok registry ->
-    Alcotest.(check (list string)) "only indexed keys serve" [ "ipv4" ]
-      (Model.Registry.keys registry);
+    Alcotest.(check (list string)) "every model file is a key"
+      [ "ipv4"; "orphan" ] (Model.Registry.keys registry);
     (match Model.Registry.find registry "orphan" with
-     | Error (Model.Artifact.File_error msg) ->
-       Alcotest.(check bool) "names the available keys" true
-         (contains ~needle:"ipv4" msg)
+     | Error (Model.Artifact.Not_a_model _) -> ()
      | Error e ->
        Alcotest.fail
-         ("expected file error, got: "
+         ("expected not-a-model, got: "
          ^ Model.Artifact.load_error_to_string e)
      | Ok _ -> Alcotest.fail "orphan must not serve");
-    (* The indexed model is unaffected by its orphan neighbour. *)
+    (* The good model is unaffected by its junk neighbour. *)
     (match Model.Registry.find registry "ipv4" with
      | Ok _ -> ()
      | Error e -> Alcotest.fail (Model.Artifact.load_error_to_string e))
+
+(* [find] takes keys from requests: a key that is no file name of the
+   directory is refused before any file is opened, even when the path
+   it spells holds a model. *)
+let test_registry_refuses_paths () =
+  let dir = fresh_dir () and other = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir; rm_rf other) @@ fun () ->
+  registry_with_ipv4 dir;
+  registry_with_ipv4 other;
+  let ipv4_bytes = read_file (model_file dir "ipv4") in
+  write_file (model_file dir ".hidden") ipv4_bytes;
+  write_file (Filename.concat dir Model.Artifact.extension) ipv4_bytes;
+  let escape = Filename.concat Filename.parent_dir_name
+      (Filename.concat (Filename.basename other) "ipv4")
+  in
+  Alcotest.(check bool) "the escaping path holds a model" true
+    (Sys.file_exists (Filename.concat dir (escape ^ Model.Artifact.extension)));
+  Telemetry.enable ();
+  Telemetry.reset ();
+  (match Model.Registry.open_dir dir with
+   | Error m -> Alcotest.fail m
+   | Ok registry ->
+     Alcotest.(check (list string)) "hidden files are no keys" [ "ipv4" ]
+       (Model.Registry.keys registry);
+     List.iter
+       (fun key ->
+         let msg = expect_file_error (Printf.sprintf "key %S" key)
+             (Model.Registry.find registry key)
+         in
+         Alcotest.(check bool) (msg ^ " names the available keys") true
+           (contains ~needle:"ipv4" msg);
+         Alcotest.(check (option string)) (key ^ " has no path") None
+           (Model.Registry.path_of registry key))
+       [ escape; ".hidden"; "" ]);
+  Telemetry.disable ();
+  Alcotest.(check int) "no file opened" 0
+    (List.length (Telemetry.spans_named "model.load"))
+
+let test_registry_misfiled_model () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  registry_with_ipv4 dir;
+  write_file (model_file dir "foo") (read_file (model_file dir "ipv4"));
+  match Model.Registry.open_dir dir with
+  | Error m -> Alcotest.fail m
+  | Ok registry ->
+    (match Model.Registry.find registry "foo" with
+     | Error (Model.Artifact.Malformed msg) ->
+       Alcotest.(check bool) (msg ^ " names the model's key") true
+         (contains ~needle:"ipv4" msg)
+     | Error e ->
+       Alcotest.fail
+         ("expected malformed, got: " ^ Model.Artifact.load_error_to_string e)
+     | Ok _ -> Alcotest.fail "a model filed under another key must not serve")
 
 let test_registry_truncated_artifact () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   registry_with_ipv4 dir;
   (* Truncate the artifact in place — a torn read mid-load. *)
-  let path = find_model_file dir in
+  let path = model_file dir "ipv4" in
   let bytes = read_file path in
   write_file path (String.sub bytes 0 (String.length bytes * 2 / 3));
   Telemetry.enable ();
@@ -670,6 +742,10 @@ let suite =
     ("registry index desync", `Quick, test_registry_index_desync);
     ("registry orphan artifact", `Quick, test_registry_orphan_model);
     ("registry truncated artifact", `Quick, test_registry_truncated_artifact);
+    ("registry refuses keys that are no file name", `Quick,
+     test_registry_refuses_paths);
+    ("registry model under another key's name", `Quick,
+     test_registry_misfiled_model);
     ("fault-corrupted reads degrade and recover", `Quick,
      test_fault_corruption_and_recovery);
   ]

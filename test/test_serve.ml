@@ -323,6 +323,40 @@ let test_daemon_pipe_roundtrip () =
   Alcotest.(check bool) "shutdown acknowledged" true
     (reply 6).Serve.Protocol.rp_ok
 
+(* A request's type goes to the registry as a key: one that is no
+   model file name of the directory is an unknown type, even when the
+   path it spells leads to the registry's own ipv4 model. *)
+let test_daemon_refuses_path_types () =
+  let dir = Lazy.force registry_dir in
+  let escape =
+    Filename.concat Filename.parent_dir_name
+      (Filename.concat (Filename.basename dir) "ipv4")
+  in
+  Alcotest.(check bool) "the escaping path holds a model" true
+    (Sys.file_exists (Filename.concat dir (escape ^ Model.Artifact.extension)));
+  let types = [ "ipv4"; escape; ".hidden"; "" ] in
+  let frames =
+    List.mapi
+      (fun i ty ->
+        J.to_string
+          (J.Obj [ ("id", J.Int (i + 1)); ("op", J.Str "validate");
+                   ("type", J.Str ty);
+                   ("values", J.List [ J.Str "192.168.0.1" ]) ]))
+      types
+    @ [ {|{"id":9,"op":"shutdown"}|} ]
+  in
+  let replies, _, _ = run_over_pipes frames in
+  let reply id = List.find (fun r -> r.Serve.Protocol.rp_id = id) replies in
+  Alcotest.(check bool) "ipv4 serves" true (reply 1).Serve.Protocol.rp_ok;
+  List.iteri
+    (fun i ty ->
+      if i > 0 then
+        Alcotest.(check string)
+          (Printf.sprintf "type %S is unknown" ty)
+          "unknown_type"
+          (J.to_str (J.member "error" (reply (i + 1)).Serve.Protocol.rp_body)))
+    types
+
 let test_daemon_trace_id_echo () =
   let frames =
     [ {|{"id":1,"op":"health","trace_id":"00000000000000ab"}|};
@@ -627,6 +661,8 @@ let suite =
     ("frame resync and poisoning", `Quick, test_frame_resync);
     ("request codec", `Quick, test_request_codec);
     ("daemon round-trip over pipes", `Slow, test_daemon_pipe_roundtrip);
+    ("daemon refuses types that are no model file", `Slow,
+     test_daemon_refuses_path_types);
     ("daemon trace-id adoption", `Slow, test_daemon_trace_id_echo);
     ("daemon admission control", `Slow, test_daemon_overload);
     ("daemon budgeted/unbudgeted parity", `Slow, test_daemon_batching_budgets);
