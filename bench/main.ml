@@ -514,48 +514,24 @@ let micro () =
 (* Pipeline stage timings → BENCH_pipeline.json                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-stage wall-clock baseline for optimisation PRs: runs the full
-   synthesis pipeline for a few representative types under telemetry,
-   once sequentially (jobs=1) and once on the execution engine
-   (--jobs N, default auto), verifies the ranked outputs are identical,
-   and writes machine-readable timings + speedups.  Exits non-zero when
-   the parallel run diverges from the sequential one. *)
-
-let bench_jobs = ref 0  (* 0 = auto (Exec.default_jobs) *)
+(* Per-stage wall-clock baseline for optimisation work: one sequential
+   synthesis pass over a few representative types under telemetry, the
+   first synthesis in a fresh process (cold caches).  It writes the
+   pass's stage wall times and its counters, which are deterministic
+   counts, to BENCH_pipeline.json, and its metrics snapshot to
+   BENCH_telemetry.json.  Exits non-zero when the pass leaves over
+   [max_unattributed_share] of [pipeline.synthesize] outside its
+   [pipeline.*] children. *)
 
 let pipeline_stage_names =
   [ "pipeline.search"; "pipeline.analyze"; "pipeline.staticcheck";
     "pipeline.probe"; "pipeline.negatives"; "pipeline.trace";
     "pipeline.rank"; "pipeline.synthesize" ]
 
-(* Everything observable about an outcome that optimisation must not
-   change: strategy, negative set, and the ranked list down to exact
-   scores and DNFs. *)
-let outcome_fingerprint (o : Autotype_core.Pipeline.outcome) : string =
-  let strategy =
-    match o.Autotype_core.Pipeline.strategy_used with
-    | Some s -> Autotype_core.Negative.strategy_to_string s
-    | None -> "-"
-  in
-  let ranked =
-    List.map
-      (fun (r : Autotype_core.Ranking.ranked) ->
-        Printf.sprintf "%s|%s|%.17g"
-          (Repolib.Candidate.id
-             r.Autotype_core.Ranking.traced.Autotype_core.Ranking.candidate)
-          (Autotype_core.Dnf.to_string r.Autotype_core.Ranking.dnf)
-          r.Autotype_core.Ranking.score)
-      o.Autotype_core.Pipeline.ranked
-  in
-  String.concat "\n"
-    ((strategy :: o.Autotype_core.Pipeline.negatives) @ ranked)
-
-(* One telemetry-instrumented pass: per-type fingerprints, wall-clock,
-   per-stage totals, the share of [pipeline.synthesize] time that its
-   direct [pipeline.*] children leave unattributed, and the counter
-   snapshot. *)
+(* One telemetry-instrumented pass: wall-clock, per-stage totals, the
+   share of [pipeline.synthesize] time that its direct [pipeline.*]
+   children leave unattributed, and the counter snapshot. *)
 type pass = {
-  fingerprints : (string * string) list;
   elapsed : float;
   stages : (string * int * float) list;
   unattributed : float;
@@ -586,27 +562,18 @@ let unattributed_share () =
   if total = 0L then 0.0
   else Int64.to_float (Int64.sub total (ns children)) /. Int64.to_float total
 
-(* One telemetry-instrumented pass over [type_ids]. *)
-let pipeline_pass ?pool ?(staticcheck = true) type_ids =
+let pipeline_pass type_ids =
   Telemetry.reset ();
   Telemetry.enable ();
-  let config = { Autotype_core.Pipeline.default_config with staticcheck } in
   let t0 = Unix.gettimeofday () in
-  let fingerprints =
-    List.map
-      (fun id ->
-        let ty = Semtypes.Registry.find_exn id in
-        let positives =
-          Semtypes.Registry.positive_examples ~n:20 ~seed:11 ty
-        in
-        let outcome =
-          Autotype_core.Pipeline.synthesize ~config ?pool
-            ~index:(Corpus.search_index ())
-            ~query:ty.Semtypes.Registry.name ~positives ()
-        in
-        (id, outcome_fingerprint outcome))
-      type_ids
-  in
+  List.iter
+    (fun id ->
+      let ty = Semtypes.Registry.find_exn id in
+      let positives = Semtypes.Registry.positive_examples ~n:20 ~seed:11 ty in
+      ignore
+        (Autotype_core.Pipeline.synthesize ~index:(Corpus.search_index ())
+           ~query:ty.Semtypes.Registry.name ~positives ()))
+    type_ids;
   let elapsed = Unix.gettimeofday () -. t0 in
   Telemetry.disable ();
   let stages =
@@ -617,34 +584,10 @@ let pipeline_pass ?pool ?(staticcheck = true) type_ids =
         (name, List.length spans, total_s))
       pipeline_stage_names
   in
-  { fingerprints; elapsed; stages; unattributed = unattributed_share ();
+  { elapsed; stages; unattributed = unattributed_share ();
     snap = Telemetry.snapshot () }
 
-let stage_total name stats =
-  List.fold_left
-    (fun acc (n, _, total_s) -> if n = name then total_s else acc)
-    0.0 stats
-
-(* Re-run a pass [n] times and keep the run with the smallest
-   trace-stage time.  Single-pass stage deltas are dominated by which
-   pass happened to run first (the parser, corpus-index, scope and
-   compile caches all fill on the first pass), so any comparison
-   between configurations uses best-of-n on a warm process instead. *)
-let best_pass ?(n = 3) f =
-  let rec go best left =
-    if left = 0 then snd (Option.get best)
-    else
-      let p = f () in
-      let t = stage_total "pipeline.trace" p.stages in
-      let best =
-        match best with Some (bt, _) when bt <= t -> best | _ -> Some (t, p)
-      in
-      go best (left - 1)
-  in
-  go None n
-
-let print_pass_report label { elapsed; stages; unattributed; snap; _ } =
-  Printf.printf "\n-- %s --\n" label;
+let print_pass_report { elapsed; stages; unattributed; snap } =
   print_table
     [ "stage"; "spans"; "total" ]
     (List.map
@@ -676,7 +619,6 @@ type jv =
   | J_float of float
   | J_bool of bool
   | J_str of string
-  | J_raw of string  (** pre-rendered JSON (already deterministic) *)
   | J_list of jv list
   | J_obj of (string * jv) list
 
@@ -698,7 +640,6 @@ let rec jv_to_string = function
       s;
     Buffer.add_char buf '"';
     Buffer.contents buf
-  | J_raw s -> s
   | J_list xs -> "[" ^ String.concat "," (List.map jv_to_string xs) ^ "]"
   | J_obj kvs ->
     "{"
@@ -708,466 +649,52 @@ let rec jv_to_string = function
            (List.sort (fun (a, _) (b, _) -> String.compare a b) kvs))
     ^ "}"
 
-let pass_json { elapsed; stages; unattributed; snap; _ } =
-  J_obj
-    [ ("elapsed_s", J_float elapsed);
-      ("unattributed_share", J_float unattributed);
-      ( "stages",
-        J_obj
-          (List.map
-             (fun (name, n, total_s) ->
-               ( name,
-                 J_obj
-                   [ ("spans", J_int n); ("total_s", J_float total_s) ] ))
-             stages) );
-      ( "counters",
-        J_obj
-          (List.map (fun (name, v) -> (name, J_int v)) snap.Telemetry.counters)
-      ) ]
-
-(* ------------------------------------------------------------------ *)
-(* Compile/serve split: cold-compile vs warm-serve                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The validation workload a served model answers: held-out positives
-   plus sampled true negatives, ~250 values per type. *)
-let serve_workload ty =
-  Semtypes.Registry.positive_examples ~n:50 ~seed:99 ty
-  @ Eval.Benchmark.negative_test_pool ~n:200 ~seed:42 ty
-
-type serve_stats = {
-  sv_n_models : int;
-  sv_n_validations : int;
-  sv_cold_elapsed : float;  (** compile + answer the workload, seconds *)
-  sv_warm_elapsed : float;  (** open registry + answer the workload *)
-  sv_cold_runs : int;  (** interp.runs during the cold pass *)
-  sv_warm_runs : int;
-  sv_warm_search_spans : int;  (** must be 0: serving never searches *)
-  sv_warm_analyze_spans : int;  (** must be 0: serving never analyzes *)
-  sv_warm_loads : int;
-  sv_cache_hits : int;
-  sv_cache_misses : int;
-  sv_parity : bool;  (** served verdicts byte-match the live synthesis *)
-  sv_lat_p50_ms : float;  (** per-value warm serve latency percentiles *)
-  sv_lat_p95_ms : float;
-  sv_lat_p99_ms : float;
-  sv_sketch_p50_ms : float;
-      (** same quantiles from the streaming sketch, merged over shards *)
-  sv_sketch_p95_ms : float;
-  sv_sketch_p99_ms : float;
-  sv_sketch_ok : bool;  (** sketch within 5% of nearest-rank *)
-  sv_p99_flight_off_ms : float;
-      (** median warm p99 of five replays with the recorder disabled *)
-  sv_p99_flight_on_ms : float;
-      (** median warm p99 of five replays with the recorder always-on *)
-  sv_flight_ok : bool;  (** recorder overhead under the 10% budget *)
-  sv_slo : Telemetry.Slo.report;
-  sv_warm_snapshot_json : string;  (** Expose.render_json of the warm pass *)
-  sv_fastpath_hits : int;  (** compiled-summary answers in the warm pass *)
-  sv_fastpath_fallbacks : int;  (** oversize values routed to the interp *)
-  sv_compiled_models : int;  (** artifacts that shipped a usable summary *)
-  sv_routes_identical : bool;  (** fast vs interp verdicts byte-match *)
-  sv_fast_p50_ms : float;  (** per-value latency, compiled route *)
-  sv_fast_p99_ms : float;
-  sv_interp_p50_ms : float;  (** per-value latency, interpreter route *)
-  sv_interp_p99_ms : float;
-}
-
-let h_warm_latency = Telemetry.histogram "bench.warm_value_latency_ms"
-
-(* Nearest-rank percentile over per-value latencies (p in [0,100]). *)
-let percentile p (xs : float array) =
-  let n = Array.length xs in
-  if n = 0 then 0.0
-  else begin
-    let sorted = Array.copy xs in
-    Array.sort compare sorted;
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+let pipeline_bench () =
+  section "Pipeline stage timings (BENCH_pipeline.json)";
+  let type_ids = [ "credit-card"; "ipv4"; "email"; "isbn" ] in
+  let pass = pipeline_pass type_ids in
+  print_pass_report pass;
+  (* [elapsed_s] and [stages.*.total_s] are wall times of this cold
+     pass; [counters] are counts, equal on every run at jobs 1. *)
+  let json =
+    jv_to_string
+      (J_obj
+         [ ("types", J_list (List.map (fun id -> J_str id) type_ids));
+           ("elapsed_s", J_float pass.elapsed);
+           ("unattributed_share", J_float pass.unattributed);
+           ( "stages",
+             J_obj
+               (List.map
+                  (fun (name, n, total_s) ->
+                    ( name,
+                      J_obj
+                        [ ("spans", J_int n); ("total_s", J_float total_s) ] ))
+                  pass.stages) );
+           ( "counters",
+             J_obj
+               (List.map
+                  (fun (name, v) -> (name, J_int v))
+                  pass.snap.Telemetry.counters) ) ])
+    ^ "\n"
+  in
+  let oc = open_out "BENCH_pipeline.json" in
+  output_string oc json;
+  close_out oc;
+  (* The pass's metrics snapshot doubles as the exposition fixture:
+     `autotype stats --snapshot BENCH_telemetry.json --prom --lint` is
+     the CI check that the Prometheus surface stays well-formed. *)
+  let oc = open_out "BENCH_telemetry.json" in
+  output_string oc (Telemetry.Expose.render_json pass.snap ^ "\n");
+  close_out oc;
+  Printf.printf "wrote BENCH_pipeline.json + BENCH_telemetry.json (%d types)\n"
+    (List.length type_ids);
+  if pass.unattributed > max_unattributed_share then begin
+    Printf.eprintf
+      "synthesis spans: the pass leaves over %.0f%% of pipeline.synthesize \
+       outside its pipeline.* children\n"
+      (100.0 *. max_unattributed_share);
+    exit 1
   end
-
-(* Cold pass: full pipeline per type, persist the artifact, answer the
-   workload with the in-memory synthesis.  Warm pass: re-open the
-   registry (a fresh handle stands in for a fresh process), serve every
-   model, answer the same workload.  Verdict vectors must byte-match. *)
-let serve_pass type_ids =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "autotype-bench-models-%d" (Unix.getpid ()))
-  in
-  let fail msg = prerr_endline ("serve bench: " ^ msg); exit 1 in
-  Telemetry.reset ();
-  Telemetry.enable ();
-  let t0 = Unix.gettimeofday () in
-  let registry =
-    match Model.Registry.create_dir dir with Ok r -> r | Error m -> fail m
-  in
-  let cold_verdicts =
-    List.map
-      (fun id ->
-        let ty = Semtypes.Registry.find_exn id in
-        let positives =
-          Semtypes.Registry.positive_examples ~n:20 ~seed:11 ty
-        in
-        let compiled =
-          Autotype_core.Pipeline.compile ~index:(Corpus.search_index ())
-            ~query:ty.Semtypes.Registry.name ~positives ()
-        in
-        let artifact =
-          match Model.Artifact.of_compiled compiled with
-          | Some a -> Model.Artifact.with_type_id id a
-          | None -> fail ("no function synthesized for " ^ id)
-        in
-        (match Model.Registry.save registry artifact with
-         | Ok _ -> ()
-         | Error m -> fail m);
-        let syn = Model.Artifact.to_synthesis artifact in
-        (id,
-         List.map
-           (Autotype_core.Synthesis.validate syn)
-           (serve_workload ty)))
-      type_ids
-  in
-  let sv_cold_elapsed = Unix.gettimeofday () -. t0 in
-  Telemetry.disable ();
-  let cold_snap = Telemetry.snapshot () in
-  let sv_cold_runs = Telemetry.find_counter cold_snap "interp.runs" in
-  Telemetry.reset ();
-  Telemetry.enable ();
-  let t1 = Unix.gettimeofday () in
-  let registry =
-    match Model.Registry.open_dir dir with Ok r -> r | Error m -> fail m
-  in
-  let latencies_ms = ref [] in
-  let warm_verdicts =
-    List.map
-      (fun id ->
-        let ty = Semtypes.Registry.find_exn id in
-        let entry =
-          match Model.Registry.find registry id with
-          | Ok e -> e
-          | Error e -> fail (Model.Artifact.load_error_to_string e)
-        in
-        (* One request context per served column, as the daemon would
-           mint: every span/flight event of this type's workload is
-           attributable to it.  Each value takes the serve route, which
-           answers from the compiled summary when the artifact carries
-           one, so the warm pass exercises the production fast path. *)
-        let model = Tablecorpus.Detect.Loaded entry in
-        Telemetry.Context.with_context (Telemetry.Context.root ())
-        @@ fun () ->
-        (id,
-         List.map
-           (fun v ->
-             let t = Telemetry.now_ns () in
-             let verdict =
-               Tablecorpus.Detect.serve model [ v ]
-               = [ Tablecorpus.Detect.V_valid ]
-             in
-             let lat_ms =
-               Int64.to_float (Int64.sub (Telemetry.now_ns ()) t) /. 1e6
-             in
-             Telemetry.observe h_warm_latency lat_ms;
-             latencies_ms := lat_ms :: !latencies_ms;
-             verdict)
-           (serve_workload ty)))
-      type_ids
-  in
-  let lat = Array.of_list !latencies_ms in
-  let sv_warm_elapsed = Unix.gettimeofday () -. t1 in
-  Telemetry.disable ();
-  let warm_snap = Telemetry.snapshot () in
-  let warm_hist =
-    match
-      List.assoc_opt "bench.warm_value_latency_ms"
-        warm_snap.Telemetry.histograms
-    with
-    | Some h -> h
-    | None -> fail "warm pass recorded no latency histogram"
-  in
-  (* The sketch answers the same nearest-rank question with bounded
-     relative error (<= sqrt(gamma)-1 ~ 3.9%), so 5% is a real bound,
-     not a tolerance picked to pass. *)
-  let close sketch exact =
-    Float.abs (sketch -. exact) /. Float.max exact 1e-9 <= 0.05
-  in
-  let lat_p50 = percentile 50.0 lat in
-  let lat_p95 = percentile 95.0 lat in
-  let lat_p99 = percentile 99.0 lat in
-  (* Flight-recorder overhead: replay the warm workload under request
-     contexts with the recorder off and on.  The always-on ring must
-     cost < 10% of warm p99 (plus a small absolute slack so a machine
-     hiccup at the 20us scale cannot fail the build by itself). *)
-  let timed_warm_p99 () =
-    Telemetry.reset ();
-    Telemetry.enable ();
-    let registry =
-      match Model.Registry.open_dir dir with Ok r -> r | Error m -> fail m
-    in
-    let lats = ref [] in
-    List.iter
-      (fun id ->
-        let ty = Semtypes.Registry.find_exn id in
-        let entry =
-          match Model.Registry.find registry id with
-          | Ok e -> e
-          | Error e -> fail (Model.Artifact.load_error_to_string e)
-        in
-        Telemetry.Context.with_context (Telemetry.Context.root ())
-        @@ fun () ->
-        List.iter
-          (fun v ->
-            let t = Telemetry.now_ns () in
-            ignore
-              (Autotype_core.Synthesis.validate
-                 entry.Model.Registry.synthesis v);
-            lats :=
-              (Int64.to_float (Int64.sub (Telemetry.now_ns ()) t) /. 1e6)
-              :: !lats)
-          (serve_workload ty))
-      type_ids;
-    Telemetry.disable ();
-    percentile 99.0 (Array.of_list !lats)
-  in
-  (* Five off/on pairs, alternating which side runs first, compared by
-     their medians: at the 20us scale a slow spell of the host is bigger
-     than the effect being measured, and interleaving spreads it over
-     both sides instead of charging it to whichever block it hit. *)
-  let replay on =
-    Telemetry.Flight.set_enabled on;
-    timed_warm_p99 ()
-  in
-  let pairs =
-    List.init 5 (fun i ->
-        if i mod 2 = 0 then
-          let off = replay false in
-          (off, replay true)
-        else
-          let on = replay true in
-          (replay false, on))
-  in
-  Telemetry.Flight.set_enabled true;
-  let median xs = percentile 50.0 (Array.of_list xs) in
-  let p99_off = median (List.map fst pairs) in
-  let p99_on = median (List.map snd pairs) in
-  (* Route comparison: replay the workload value-by-value through the
-     compiled summary and through the interpreter, off the telemetry
-     clock.  The two routes must return byte-identical verdicts (the
-     interpreter is the oracle), and the compiled route's tail must be
-     strictly cheaper — that delta is the fast path's payoff. *)
-  let fast_lats = ref [] in
-  let interp_lats = ref [] in
-  let routes_identical = ref true in
-  let compiled_models = ref 0 in
-  List.iter
-    (fun id ->
-      let ty = Semtypes.Registry.find_exn id in
-      let entry =
-        match Model.Registry.find registry id with
-        | Ok e -> e
-        | Error e -> fail (Model.Artifact.load_error_to_string e)
-      in
-      match entry.Model.Registry.tree with
-      | None -> ()
-      | Some prepared ->
-        incr compiled_models;
-        let interp_fn =
-          Autotype_core.Synthesis.validate entry.Model.Registry.synthesis
-        in
-        List.iter
-          (fun v ->
-            let t = Telemetry.now_ns () in
-            let fast = Absint.Domain.eval_prepared prepared v in
-            fast_lats :=
-              (Int64.to_float (Int64.sub (Telemetry.now_ns ()) t) /. 1e6)
-              :: !fast_lats;
-            let t = Telemetry.now_ns () in
-            let slow = interp_fn v in
-            interp_lats :=
-              (Int64.to_float (Int64.sub (Telemetry.now_ns ()) t) /. 1e6)
-              :: !interp_lats;
-            if fast <> slow then begin
-              routes_identical := false;
-              Printf.eprintf
-                "ROUTE DIVERGENCE on %s %S: fast=%b interp=%b\n" id v fast
-                slow
-            end)
-          (serve_workload ty))
-    type_ids;
-  let fast_lat = Array.of_list !fast_lats in
-  let interp_lat = Array.of_list !interp_lats in
-  let n_validations =
-    List.fold_left (fun acc (_, vs) -> acc + List.length vs) 0 warm_verdicts
-  in
-  let slo =
-    Telemetry.Slo.eval Telemetry.Slo.default_target ~p99_ms:lat_p99
-      ~errors:
-        (Telemetry.find_counter warm_snap "driver.infra_failures"
-         + Telemetry.find_counter warm_snap "serve.degraded")
-      ~deadline_hits:(Telemetry.find_counter warm_snap "serve.deadline_hits")
-      ~total:n_validations
-  in
-  let stats =
-    {
-      sv_n_models = List.length type_ids;
-      sv_n_validations = n_validations;
-      sv_cold_elapsed;
-      sv_warm_elapsed;
-      sv_cold_runs;
-      sv_warm_runs = Telemetry.find_counter warm_snap "interp.runs";
-      sv_warm_search_spans =
-        List.length (Telemetry.spans_named "pipeline.search");
-      sv_warm_analyze_spans =
-        List.length (Telemetry.spans_named "pipeline.analyze");
-      sv_warm_loads = Telemetry.find_counter warm_snap "model.loads";
-      sv_cache_hits = Telemetry.find_counter warm_snap "serve.cache_hits";
-      sv_cache_misses = Telemetry.find_counter warm_snap "serve.cache_misses";
-      sv_parity = cold_verdicts = warm_verdicts;
-      sv_lat_p50_ms = lat_p50;
-      sv_lat_p95_ms = lat_p95;
-      sv_lat_p99_ms = lat_p99;
-      sv_sketch_p50_ms = warm_hist.Telemetry.h_p50;
-      sv_sketch_p95_ms = warm_hist.Telemetry.h_p95;
-      sv_sketch_p99_ms = warm_hist.Telemetry.h_p99;
-      sv_sketch_ok =
-        close warm_hist.Telemetry.h_p50 lat_p50
-        && close warm_hist.Telemetry.h_p95 lat_p95
-        && close warm_hist.Telemetry.h_p99 lat_p99;
-      sv_p99_flight_off_ms = p99_off;
-      sv_p99_flight_on_ms = p99_on;
-      (* 50us absolute slack: the recorder's true per-value cost is a
-         few ring stores (~1us); at the 20-80us p99 scale the absolute
-         term dominates the 10% one, and a real regression (a syscall
-         or a lock convoy on the record path) lands well above it. *)
-      sv_flight_ok = p99_on <= (p99_off *. 1.10) +. 0.05;
-      sv_slo = slo;
-      sv_warm_snapshot_json = Telemetry.Expose.render_json warm_snap;
-      sv_fastpath_hits = Telemetry.find_counter warm_snap "serve.fastpath_hits";
-      sv_fastpath_fallbacks =
-        Telemetry.find_counter warm_snap "serve.fastpath_fallbacks";
-      sv_compiled_models = !compiled_models;
-      sv_routes_identical = !routes_identical;
-      sv_fast_p50_ms = percentile 50.0 fast_lat;
-      sv_fast_p99_ms = percentile 99.0 fast_lat;
-      sv_interp_p50_ms = percentile 50.0 interp_lat;
-      sv_interp_p99_ms = percentile 99.0 interp_lat;
-    }
-  in
-  if not stats.sv_parity then
-    List.iter2
-      (fun (id, c) (_, w) ->
-        if c <> w then
-          Printf.eprintf "SERVE DIVERGENCE on %s: %d/%d verdicts differ\n" id
-            (List.length
-               (List.filter (fun x -> x)
-                  (List.map2 (fun a b -> a <> b) c w)))
-            (List.length c))
-      cold_verdicts warm_verdicts;
-  (* The registry directory is scratch; leave nothing behind. *)
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-    Sys.rmdir dir
-  end;
-  stats
-
-let per_1k elapsed n =
-  if n = 0 then 0.0 else 1000.0 *. elapsed /. float_of_int n
-
-let print_serve_report (s : serve_stats) =
-  Printf.printf "\n-- compile/serve split --\n";
-  Printf.printf
-    "cold (compile %d models + %d validations): %.2fs (%.1fms per 1k \
-     validations)\n"
-    s.sv_n_models s.sv_n_validations s.sv_cold_elapsed
-    (1e3 *. per_1k s.sv_cold_elapsed s.sv_n_validations);
-  Printf.printf
-    "warm (load %d models + %d validations):    %.2fs (%.1fms per 1k \
-     validations)\n"
-    s.sv_warm_loads s.sv_n_validations s.sv_warm_elapsed
-    (1e3 *. per_1k s.sv_warm_elapsed s.sv_n_validations);
-  Printf.printf
-    "interpreter runs: %d cold -> %d warm (%.1fx fewer); warm pipeline \
-     spans: %d search, %d analyze\n"
-    s.sv_cold_runs s.sv_warm_runs
-    (if s.sv_warm_runs > 0 then
-       float_of_int s.sv_cold_runs /. float_of_int s.sv_warm_runs
-     else 0.0)
-    s.sv_warm_search_spans s.sv_warm_analyze_spans;
-  Printf.printf "serve cache: %d hits, %d misses; verdict parity: %s\n"
-    s.sv_cache_hits s.sv_cache_misses
-    (if s.sv_parity then "identical" else "DIVERGED");
-  Printf.printf
-    "warm per-value latency: p50 %.3fms, p95 %.3fms, p99 %.3fms\n"
-    s.sv_lat_p50_ms s.sv_lat_p95_ms s.sv_lat_p99_ms;
-  Printf.printf
-    "streaming sketch:       p50 %.3fms, p95 %.3fms, p99 %.3fms (%s)\n"
-    s.sv_sketch_p50_ms s.sv_sketch_p95_ms s.sv_sketch_p99_ms
-    (if s.sv_sketch_ok then "within 5% of nearest-rank" else "OUT OF BOUNDS");
-  Printf.printf
-    "flight recorder: warm p99 %.3fms off -> %.3fms on (%s)\n"
-    s.sv_p99_flight_off_ms s.sv_p99_flight_on_ms
-    (if s.sv_flight_ok then "under the 10% overhead budget"
-     else "OVER BUDGET");
-  Printf.printf
-    "fast path: %d/%d models compiled; %d hits, %d fallbacks; per-value \
-     p50/p99 %.4f/%.4fms fast vs %.4f/%.4fms interp; routes %s\n"
-    s.sv_compiled_models s.sv_n_models s.sv_fastpath_hits
-    s.sv_fastpath_fallbacks s.sv_fast_p50_ms s.sv_fast_p99_ms
-    s.sv_interp_p50_ms s.sv_interp_p99_ms
-    (if s.sv_routes_identical then "identical" else "DIVERGED");
-  Printf.printf
-    "slo: p99 %.3fms vs target %.3fms (%s), error burn %.3f, deadline hit \
-     rate %.4f\n"
-    s.sv_slo.Telemetry.Slo.rep_p99_ms s.sv_slo.Telemetry.Slo.rep_target_p99_ms
-    (if s.sv_slo.Telemetry.Slo.rep_p99_ok then "ok" else "MISSED")
-    s.sv_slo.Telemetry.Slo.rep_error_budget_burn
-    s.sv_slo.Telemetry.Slo.rep_deadline_hit_rate
-
-let serve_json (s : serve_stats) =
-  J_obj
-    [ ("models", J_int s.sv_n_models);
-      ("validations", J_int s.sv_n_validations);
-      ("cold_elapsed_s", J_float s.sv_cold_elapsed);
-      ("warm_elapsed_s", J_float s.sv_warm_elapsed);
-      ("cold_per_1k_s", J_float (per_1k s.sv_cold_elapsed s.sv_n_validations));
-      ("warm_per_1k_s", J_float (per_1k s.sv_warm_elapsed s.sv_n_validations));
-      ("cold_interp_runs", J_int s.sv_cold_runs);
-      ("warm_interp_runs", J_int s.sv_warm_runs);
-      ("warm_search_spans", J_int s.sv_warm_search_spans);
-      ("warm_analyze_spans", J_int s.sv_warm_analyze_spans);
-      ("warm_model_loads", J_int s.sv_warm_loads);
-      ("cache_hits", J_int s.sv_cache_hits);
-      ("cache_misses", J_int s.sv_cache_misses);
-      ("verdict_parity", J_bool s.sv_parity);
-      ( "tail_latency",
-        J_obj
-          [ ("p50_ms", J_float s.sv_lat_p50_ms);
-            ("p95_ms", J_float s.sv_lat_p95_ms);
-            ("p99_ms", J_float s.sv_lat_p99_ms) ] );
-      ( "streaming_quantiles",
-        J_obj
-          [ ("p50_ms", J_float s.sv_sketch_p50_ms);
-            ("p95_ms", J_float s.sv_sketch_p95_ms);
-            ("p99_ms", J_float s.sv_sketch_p99_ms);
-            ("within_5pct_of_nearest_rank", J_bool s.sv_sketch_ok) ] );
-      ( "flight_recorder",
-        J_obj
-          [ ("p99_ms_off", J_float s.sv_p99_flight_off_ms);
-            ("p99_ms_on", J_float s.sv_p99_flight_on_ms);
-            ("overhead_under_10pct", J_bool s.sv_flight_ok) ] );
-      ( "fastpath",
-        J_obj
-          [ ("hits", J_int s.sv_fastpath_hits);
-            ("fallbacks", J_int s.sv_fastpath_fallbacks);
-            ("compiled_models", J_int s.sv_compiled_models);
-            ("routes_identical", J_bool s.sv_routes_identical);
-            ("fast_p50_ms", J_float s.sv_fast_p50_ms);
-            ("fast_p99_ms", J_float s.sv_fast_p99_ms);
-            ("interp_p50_ms", J_float s.sv_interp_p50_ms);
-            ("interp_p99_ms", J_float s.sv_interp_p99_ms) ] );
-      ("slo", J_raw (Telemetry.Slo.report_to_json s.sv_slo)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serving daemon under open-loop load (BENCH_serve.json)               *)
@@ -1179,6 +706,23 @@ let serve_json (s : serve_stats) =
    server accumulates queueing delay instead of silently slowing the
    generator — latency is measured from the scheduled send time, the
    honest open-loop definition. *)
+
+(* The validation workload a served model answers: held-out positives
+   plus sampled true negatives, ~250 values per type. *)
+let serve_workload ty =
+  Semtypes.Registry.positive_examples ~n:50 ~seed:99 ty
+  @ Eval.Benchmark.negative_test_pool ~n:200 ~seed:42 ty
+
+(* Nearest-rank percentile over per-value latencies (p in [0,100]). *)
+let percentile p (xs : float array) =
+  let n = Array.length xs in
+  if n = 0 then 0.0
+  else begin
+    let sorted = Array.copy xs in
+    Array.sort compare sorted;
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+  end
 
 let serve_daemon_types = [ "ipv4"; "credit-card" ]
 
@@ -1211,11 +755,11 @@ let json_str_list vs =
   Model.Jsonx.List (List.map (fun v -> Model.Jsonx.Str v) vs)
 
 (* Deterministic mixed traffic: 3 validates (8 values) to 1 detect (24
-   values), round-robin over the types, values sliced from the same
-   ~250-value workload the compile/serve bench uses.  [budgeted]
-   attaches wall-clock budgets, which routes validation through the
-   interpreter — where the fault layer's delay/kill probes live — so
-   the chaos pass actually exercises degradation. *)
+   values), round-robin over the types, values sliced from each type's
+   ~250-value [serve_workload].  [budgeted] attaches wall-clock budgets,
+   which routes validation through the interpreter — where the fault
+   layer's delay/kill probes live — so the chaos pass actually
+   exercises degradation. *)
 let make_requests ~budgeted ~n workloads =
   let n_types = Array.length workloads in
   List.init n (fun i ->
@@ -1646,150 +1190,6 @@ let serve_daemon_bench () =
     (List.length rates);
   if (not parity) || !crashed then exit 1
 
-let pipeline_bench () =
-  section "Pipeline stage timings (BENCH_pipeline.json)";
-  let type_ids = [ "credit-card"; "ipv4"; "email"; "isbn" ] in
-  let jobs = if !bench_jobs <= 0 then Exec.default_jobs () else !bench_jobs in
-  let recommended = Domain.recommended_domain_count () in
-  Printf.printf "jobs=%d (recommended domain count: %d)\n" jobs recommended;
-  let seq = pipeline_pass ?pool:None type_ids in
-  let par = Exec.Pool.with_pool ~jobs (fun pool -> pipeline_pass ~pool type_ids) in
-  (* A third pass with static pruning disabled: the ranked output must
-     be byte-identical (the pruned candidates can never rank), and the
-     delta in interpreter work is the optimisation's payoff. *)
-  let nos = pipeline_pass ?pool:None ~staticcheck:false type_ids in
-  (* Fourth pass: the compile/serve split — cold compile vs warm
-     registry serving over the same validation workload. *)
-  let serve = serve_pass type_ids in
-  print_pass_report "sequential (jobs=1)" seq;
-  print_pass_report (Printf.sprintf "parallel (jobs=%d)" jobs) par;
-  print_pass_report "no staticcheck (jobs=1)" nos;
-  let identical = seq.fingerprints = par.fingerprints in
-  if not identical then begin
-    List.iter2
-      (fun (id, s) (_, p) ->
-        if s <> p then
-          Printf.eprintf "DIVERGENCE on %s:\n-- sequential --\n%s\n-- parallel --\n%s\n"
-            id s p)
-      seq.fingerprints par.fingerprints;
-    prerr_endline "parallel run diverged from sequential run"
-  end;
-  let static_identical = seq.fingerprints = nos.fingerprints in
-  if not static_identical then begin
-    List.iter2
-      (fun (id, s) (_, n) ->
-        if s <> n then
-          Printf.eprintf
-            "DIVERGENCE on %s:\n-- staticcheck --\n%s\n-- no staticcheck --\n%s\n"
-            id s n)
-      seq.fingerprints nos.fingerprints;
-    prerr_endline "static pruning changed the ranked output"
-  end;
-  let attributed =
-    List.for_all (fun p -> p.unattributed <= max_unattributed_share) [ seq; par; nos ]
-  in
-  if not attributed then
-    Printf.eprintf
-      "synthesis spans: a pass leaves over %.0f%% of pipeline.synthesize \
-       outside its pipeline.* children\n"
-      (100.0 *. max_unattributed_share);
-  let speedup seq par = if par > 0.0 then seq /. par else 0.0 in
-  let trace_speedup =
-    speedup
-      (stage_total "pipeline.trace" seq.stages)
-      (stage_total "pipeline.trace" par.stages)
-  in
-  let elapsed_speedup = speedup seq.elapsed par.elapsed in
-  Printf.printf
-    "\nspeedup (sequential/parallel): trace %.2fx, elapsed %.2fx; ranked outputs %s\n"
-    trace_speedup elapsed_speedup
-    (if identical then "identical" else "DIVERGED");
-  let pruned = Telemetry.find_counter seq.snap "staticcheck.pruned" in
-  let diags = Telemetry.find_counter seq.snap "staticcheck.diagnostics" in
-  let runs_static = Telemetry.find_counter seq.snap "interp.runs" in
-  let runs_nostatic = Telemetry.find_counter nos.snap "interp.runs" in
-  (* The run counts are deterministic and are the real payoff metric;
-     the wall times are best-of-3 warm re-measurements.  (A previous
-     revision subtracted the two single-pass totals, which reported a
-     negative "saving" — the no-staticcheck pass ran third, after every
-     cache had warmed up.) *)
-  let static3 = best_pass (fun () -> pipeline_pass ?pool:None type_ids) in
-  let nostatic3 =
-    best_pass (fun () -> pipeline_pass ?pool:None ~staticcheck:false type_ids)
-  in
-  let trace_static3 = stage_total "pipeline.trace" static3.stages in
-  let trace_nostatic3 = stage_total "pipeline.trace" nostatic3.stages in
-  Printf.printf
-    "staticcheck: %d candidates pruned, %d diagnostics; interp runs %d -> %d, \
-     trace best-of-3 %.1fms -> %.1fms; ranked outputs %s\n"
-    pruned diags runs_nostatic runs_static (1e3 *. trace_nostatic3)
-    (1e3 *. trace_static3)
-    (if static_identical then "identical" else "DIVERGED");
-  print_serve_report serve;
-  (* Serving must never touch the pipeline's search/analyze stages,
-     must cut interpreter work by at least an order of magnitude (to
-     zero when every model compiled), the compiled fast path must
-     actually fire with verdicts byte-identical to the interpreter and
-     a strictly cheaper tail, the streaming sketch must agree with the
-     nearest-rank tail, and the always-on flight recorder must stay
-     under its overhead budget. *)
-  let serve_ok =
-    serve.sv_parity
-    && serve.sv_warm_search_spans = 0
-    && serve.sv_warm_analyze_spans = 0
-    && (serve.sv_warm_runs = 0
-        || serve.sv_cold_runs >= 10 * serve.sv_warm_runs)
-    && serve.sv_fastpath_hits > 0
-    && serve.sv_routes_identical
-    && serve.sv_fast_p99_ms < serve.sv_interp_p99_ms
-    && serve.sv_sketch_ok
-    && serve.sv_flight_ok
-  in
-  if not serve_ok then
-    prerr_endline
-      "serve pass failed its invariants (parity / zero pipeline spans / \
-       >=10x fewer interpreter runs / fast path fired with identical \
-       verdicts and a cheaper p99 / sketch within 5% / flight overhead \
-       under 10%)";
-  let json =
-    jv_to_string
-      (J_obj
-         [ ("types", J_list (List.map (fun id -> J_str id) type_ids));
-           ("jobs", J_int jobs);
-           ("recommended_domains", J_int recommended);
-           ("sequential", pass_json seq);
-           ("parallel", pass_json par);
-           ("nostatic", pass_json nos);
-           ("trace_speedup", J_float trace_speedup);
-           ("elapsed_speedup", J_float elapsed_speedup);
-           ("ranked_identical", J_bool identical);
-           ( "staticcheck",
-             J_obj
-               [ ("pruned", J_int pruned);
-                 ("diagnostics", J_int diags);
-                 ("interp_runs_static", J_int runs_static);
-                 ("interp_runs_nostatic", J_int runs_nostatic);
-                 ("interp_runs_avoided", J_int (runs_nostatic - runs_static));
-                 ("trace_s_static_best3", J_float trace_static3);
-                 ("trace_s_nostatic_best3", J_float trace_nostatic3);
-                 ("ranked_identical", J_bool static_identical) ] );
-           ("serve", serve_json serve) ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc json;
-  close_out oc;
-  (* The warm-pass metrics snapshot doubles as the exposition fixture:
-     `autotype stats --snapshot BENCH_telemetry.json --prom --lint` is
-     the CI check that the Prometheus surface stays well-formed. *)
-  let oc = open_out "BENCH_telemetry.json" in
-  output_string oc (serve.sv_warm_snapshot_json ^ "\n");
-  close_out oc;
-  Printf.printf
-    "wrote BENCH_pipeline.json + BENCH_telemetry.json (%d types, seq %.1fs \
-     / par %.1fs)\n"
-    (List.length type_ids) seq.elapsed par.elapsed;
-  if not (identical && static_identical && attributed && serve_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
@@ -1831,26 +1231,7 @@ let () =
     Array.to_list Sys.argv |> List.tl
     |> List.filter (fun a -> a <> "--")
   in
-  let set_jobs s =
-    match int_of_string_opt s with
-    | Some n -> bench_jobs := n
-    | None ->
-      Printf.eprintf "--jobs expects an integer, got %S\n" s;
-      exit 1
-  in
-  let rec strip_jobs acc = function
-    | [] -> List.rev acc
-    | "--jobs" :: n :: rest -> set_jobs n; strip_jobs acc rest
-    | [ "--jobs" ] ->
-      prerr_endline "--jobs expects an argument";
-      exit 1
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
-      set_jobs (String.sub a 7 (String.length a - 7));
-      strip_jobs acc rest
-    | a :: rest -> strip_jobs (a :: acc) rest
-  in
-  let requested = strip_jobs [] args in
-  let requested = if requested = [] then [ "all" ] else requested in
+  let requested = if args = [] then [ "all" ] else args in
   let to_run =
     if List.mem "all" requested then List.map fst targets
     else requested

@@ -60,7 +60,13 @@ let snapshot_of_string text : (Telemetry.snapshot, string) result =
     | J.Obj kvs -> List.map (fun (k, v) -> (k, decode v)) kvs
     | _ -> raise (J.Decode_error (Printf.sprintf "%S is not an object" name))
   in
-  let f name v = J.to_float (J.member name v) in
+  let f name v =
+    match J.member name v with
+    | J.Str "+Inf" -> Float.infinity
+    | J.Str "-Inf" -> Float.neg_infinity
+    | J.Str "NaN" -> Float.nan
+    | x -> J.to_float x
+  in
   let histogram v =
     {
       Telemetry.h_count = J.to_int (J.member "count" v);

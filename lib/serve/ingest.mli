@@ -36,5 +36,8 @@ val snapshot_of_string : string -> (Telemetry.snapshot, string) result
     ([BENCH_telemetry.json], [autotype stats --snapshot]).  The text
     must be one JSON object whose [counters] and [histograms] members
     are objects of integers and of complete histogram records; other
-    members are ignored.  [Error] starts with ["malformed JSON: "] or
-    ["not a metrics snapshot: "]; no input raises. *)
+    members are ignored.  A histogram's float fields are numbers or
+    the strings ["+Inf"], ["-Inf"] and ["NaN"] that [render_json]
+    writes for non-finite values.  [Error] starts with
+    ["malformed JSON: "] or ["not a metrics snapshot: "]; no input
+    raises. *)

@@ -802,6 +802,13 @@ module Expose = struct
       (List.sort (fun (a, _) (b, _) -> String.compare a b) families);
     Buffer.contents buf
 
+  (* JSON has no non-finite numbers: those are written as the strings
+     "+Inf", "-Inf" and "NaN", the Prometheus spellings, which
+     [Serve.Ingest.snapshot_of_string] reads back. *)
+  let json_float v =
+    if Float.is_finite v then Printf.sprintf "%.6f" v
+    else "\"" ^ float_str v ^ "\""
+
   let render_json (snap : snapshot) : string =
     let buf = Buffer.create 4096 in
     let fields to_s kvs =
@@ -818,10 +825,11 @@ module Expose = struct
       (fields
          (fun (h : hist_snapshot) ->
            Printf.sprintf
-             "{\"count\":%d,\"max\":%.6f,\"mean\":%.6f,\"min\":%.6f,\
-              \"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f,\"sum\":%.6f}"
-             h.h_count h.h_max h.h_mean h.h_min h.h_p50 h.h_p95 h.h_p99
-             h.h_sum)
+             "{\"count\":%d,\"max\":%s,\"mean\":%s,\"min\":%s,\
+              \"p50\":%s,\"p95\":%s,\"p99\":%s,\"sum\":%s}"
+             h.h_count (json_float h.h_max) (json_float h.h_mean)
+             (json_float h.h_min) (json_float h.h_p50) (json_float h.h_p95)
+             (json_float h.h_p99) (json_float h.h_sum))
          snap.histograms);
     Buffer.add_string buf "}}";
     Buffer.contents buf
@@ -966,56 +974,4 @@ module Expose = struct
       types;
     if !errors = [] then Ok (Hashtbl.length types)
     else Error (List.rev !errors)
-end
-
-(* ------------------------------------------------------------------ *)
-(* SLO                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Slo = struct
-  type target = { slo_p99_ms : float; slo_error_rate : float }
-
-  let default_target = { slo_p99_ms = 1.0; slo_error_rate = 0.01 }
-
-  type report = {
-    rep_total : int;
-    rep_p99_ms : float;
-    rep_target_p99_ms : float;
-    rep_p99_ok : bool;
-    rep_error_rate : float;
-    rep_target_error_rate : float;
-    rep_error_budget_burn : float;
-    rep_deadline_hit_rate : float;
-  }
-
-  let eval (target : target) ~p99_ms ~errors ~deadline_hits ~total : report =
-    let ratio n =
-      if total = 0 then 0.0 else float_of_int n /. float_of_int total
-    in
-    let error_rate = ratio errors in
-    let burn =
-      if target.slo_error_rate > 0.0 then error_rate /. target.slo_error_rate
-      else if error_rate > 0.0 then 1e9
-      else 0.0
-    in
-    {
-      rep_total = total;
-      rep_p99_ms = p99_ms;
-      rep_target_p99_ms = target.slo_p99_ms;
-      rep_p99_ok = p99_ms <= target.slo_p99_ms;
-      rep_error_rate = error_rate;
-      rep_target_error_rate = target.slo_error_rate;
-      rep_error_budget_burn = (if Float.is_finite burn then burn else 1e9);
-      rep_deadline_hit_rate = ratio deadline_hits;
-    }
-
-  (* Keys sorted, floats fixed, for deterministic BENCH files. *)
-  let report_to_json (r : report) : string =
-    Printf.sprintf
-      "{\"deadline_hit_rate\":%.6f,\"error_budget_burn\":%.6f,\
-       \"error_rate\":%.6f,\"p99_ms\":%.6f,\"p99_ok\":%b,\
-       \"target_error_rate\":%.6f,\"target_p99_ms\":%.6f,\"total\":%d}"
-      r.rep_deadline_hit_rate r.rep_error_budget_burn r.rep_error_rate
-      r.rep_p99_ms r.rep_p99_ok r.rep_target_error_rate r.rep_target_p99_ms
-      r.rep_total
 end

@@ -289,43 +289,13 @@ module Expose : sig
 
   val render_json : snapshot -> string
   (** Deterministic JSON (sorted keys, fixed float formatting) — also
-      the snapshot-file format read back by [autotype stats]. *)
+      the snapshot-file format read back by [autotype stats].  A
+      non-finite histogram field is the string ["+Inf"], ["-Inf"] or
+      ["NaN"]. *)
 
   val lint : string -> (int, string list) result
   (** Check a text exposition for scraper-visible defects: malformed
       metric names, duplicate or missing HELP/TYPE, non-contiguous
       family samples, unparsable values.  [Ok n] gives the number of
       well-formed families. *)
-end
-
-(* ------------------------------------------------------------------ *)
-(* SLO                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Slo : sig
-  type target = { slo_p99_ms : float; slo_error_rate : float }
-
-  val default_target : target
-  (** p99 ≤ 1ms, error rate ≤ 1% — the warm serving objective. *)
-
-  type report = {
-    rep_total : int;
-    rep_p99_ms : float;
-    rep_target_p99_ms : float;
-    rep_p99_ok : bool;
-    rep_error_rate : float;
-    rep_target_error_rate : float;
-    rep_error_budget_burn : float;
-        (** observed error rate / target error rate; 1.0 = burning the
-            budget exactly, > 1 = out of budget *)
-    rep_deadline_hit_rate : float;
-  }
-
-  val eval :
-    target -> p99_ms:float -> errors:int -> deadline_hits:int -> total:int ->
-    report
-
-  val report_to_json : report -> string
-  (** One-line JSON object with sorted keys and fixed float formatting
-      (deterministic for BENCH files). *)
 end

@@ -256,19 +256,28 @@ let test_regex_patterns () =
 
 (* -------------------------- snapshot files -------------------------- *)
 
+let hist count sum =
+  { Telemetry.h_count = count; h_sum = sum; h_min = 0.125; h_max = 9.5;
+    h_mean = sum /. float_of_int count; h_p50 = 1.25; h_p95 = 7.0;
+    h_p99 = 9.0 }
+
 let snapshot_text =
-  let h count sum =
-    { Telemetry.h_count = count; h_sum = sum; h_min = 0.125; h_max = 9.5;
-      h_mean = sum /. float_of_int count; h_p50 = 1.25; h_p95 = 7.0;
-      h_p99 = 9.0 }
-  in
   Telemetry.Expose.render_json
     { Telemetry.counters =
         [ ("daemon.requests", 1200); ("serve.degraded", 3);
           ("serve.fastpath_hits", 0) ];
       histograms =
-        [ ("interp.steps_per_run", h 7 63.0);
-          ("serve.column_latency_ms", h 1200 1800.0) ] }
+        [ ("interp.steps_per_run", hist 7 63.0);
+          ("serve.column_latency_ms", hist 1200 1800.0) ] }
+
+(* JSON has no infinity or NaN, so these render as strings. *)
+let nonfinite_text =
+  Telemetry.Expose.render_json
+    { Telemetry.counters = [];
+      histograms =
+        [ ( "serve.column_latency_ms",
+            { (hist 2 1.0) with h_sum = Float.infinity; h_mean = Float.nan;
+              h_min = Float.neg_infinity } ) ] }
 
 (* Replace the value after a random ':' (the snapshot's names hold
    none) with a value of another type. *)
@@ -295,8 +304,8 @@ let swap_value rng s =
   ^ String.sub s stop (n - stop)
 
 (* The decoder behind [autotype stats --snapshot]: the bench's own file
-   round-trips, anything that is not two objects of metrics is an
-   Error, and no mutant raises. *)
+   and a snapshot with non-finite fields round-trip, anything that is
+   not two objects of metrics is an Error, and no mutant raises. *)
 let test_snapshot_files () =
   let decode text =
     match Serve.Ingest.snapshot_of_string text with
@@ -304,17 +313,36 @@ let test_snapshot_files () =
     | exception e ->
       Alcotest.failf "%S raised %s" text (Printexc.to_string e)
   in
-  (match decode snapshot_text with
+  let round_trips label text =
+    match decode text with
+    | Ok snap ->
+      Alcotest.(check string) (label ^ " round-trips") text
+        (Telemetry.Expose.render_json snap)
+    | Error msg -> Alcotest.failf "%s is refused: %s" label msg
+  in
+  round_trips "the bench's format" snapshot_text;
+  round_trips "a snapshot with non-finite fields" nonfinite_text;
+  (* A sum past the float range decodes to infinity, which renders as
+     "+Inf" and reads back. *)
+  let one_hist ~mean ~sum =
+    Printf.sprintf
+      {|{"counters":{},"histograms":{"h":{"count":1,"max":1.000000,"mean":%s,"min":1.000000,"p50":1.000000,"p95":1.000000,"p99":1.000000,"sum":%s}}}|}
+      mean sum
+  in
+  (match decode (one_hist ~mean:"1.000000" ~sum:"1e400") with
    | Ok snap ->
-     Alcotest.(check string) "render_json round-trips" snapshot_text
+     Alcotest.(check string) "a sum of 1e400 renders as \"+Inf\""
+       (one_hist ~mean:"1.000000" ~sum:{|"+Inf"|})
        (Telemetry.Expose.render_json snap)
-   | Error msg -> Alcotest.failf "the bench's format is refused: %s" msg);
+   | Error msg -> Alcotest.failf "a sum of 1e400 is refused: %s" msg);
   List.iter
     (fun text ->
       Alcotest.(check bool) (text ^ " is refused") true
         (Result.is_error (decode text)))
     [ "42"; "[]"; "{}"; {|{"foo":1}|}; {|{"counters":{},"histograms":[]}|};
-      {|{"counters":{"c":1.5},"histograms":{}}|} ];
+      {|{"counters":{"c":1.5},"histograms":{}}|};
+      {|{"counters":{"c":"+Inf"},"histograms":{}}|};
+      one_hist ~mean:{|"inf"|} ~sum:"1.0"; one_hist ~mean:{|"7"|} ~sum:"1.0" ];
   Alcotest.(check bool) "unknown members are ignored" true
     (Result.is_ok
        (decode {|{"counters":{},"histograms":{},"rates":{"r":{}}}|}));

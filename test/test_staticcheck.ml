@@ -292,27 +292,43 @@ let test_analyzer_skips_unparseable_file () =
 let test_pipeline_pruning_parity () =
   (* With pruning on, the ranked output must be identical to pruning
      off: pruned candidates trace identically on every input, so they
-     can never rank (DESIGN.md §8). *)
-  let ty = Semtypes.Registry.find_exn "credit-card" in
-  let positives = Semtypes.Registry.positive_examples ~n:20 ~seed:11 ty in
-  let run staticcheck =
+     can never rank (DESIGN.md §8).  Over the pipeline bench's types,
+     pruning must also save interpreter runs. *)
+  let type_ids = [ "credit-card"; "ipv4"; "email"; "isbn" ] in
+  let ranked staticcheck id =
+    let ty = Semtypes.Registry.find_exn id in
+    let positives = Semtypes.Registry.positive_examples ~n:20 ~seed:11 ty in
     let config = { Autotype_core.Pipeline.default_config with staticcheck } in
     let o =
       Autotype_core.Pipeline.synthesize ~config
         ~index:(Corpus.search_index ())
         ~query:ty.Semtypes.Registry.name ~positives ()
     in
-    List.map
-      (fun (r : Autotype_core.Ranking.ranked) ->
-        ( Repolib.Candidate.describe
-            r.Autotype_core.Ranking.traced.Autotype_core.Ranking.candidate,
-          Autotype_core.Dnf.to_string r.Autotype_core.Ranking.dnf ))
-      o.Autotype_core.Pipeline.ranked
+    ( id,
+      List.map
+        (fun (r : Autotype_core.Ranking.ranked) ->
+          ( Repolib.Candidate.describe
+              r.Autotype_core.Ranking.traced.Autotype_core.Ranking.candidate,
+            Autotype_core.Dnf.to_string r.Autotype_core.Ranking.dnf ))
+        o.Autotype_core.Pipeline.ranked )
   in
-  let with_static = run true and without_static = run false in
-  Alcotest.(check (list (pair string string)))
+  let run staticcheck =
+    Telemetry.reset ();
+    Telemetry.enable ();
+    let outputs = List.map (ranked staticcheck) type_ids in
+    Telemetry.disable ();
+    (outputs, Telemetry.find_counter (Telemetry.snapshot ()) "interp.runs")
+  in
+  let with_static, runs_static = run true in
+  let without_static, runs_nostatic = run false in
+  Alcotest.(check (list (pair string (list (pair string string)))))
     "ranked output identical with and without static pruning"
-    without_static with_static
+    without_static with_static;
+  Alcotest.(check bool)
+    (Printf.sprintf "pruning saves interpreter runs (%d with, %d without)"
+       runs_static runs_nostatic)
+    true
+    (runs_static < runs_nostatic)
 
 let suite =
   [

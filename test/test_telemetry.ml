@@ -409,33 +409,6 @@ let test_expose_lint_rejects () =
   expect_error "declared family with no samples"
     "# HELP autotype_ghost g\n# TYPE autotype_ghost counter\n"
 
-let test_slo_eval () =
-  let t = { Telemetry.Slo.slo_p99_ms = 1.0; slo_error_rate = 0.01 } in
-  let r =
-    Telemetry.Slo.eval t ~p99_ms:0.5 ~errors:1 ~deadline_hits:2 ~total:1000
-  in
-  Alcotest.(check bool) "p99 within target" true r.Telemetry.Slo.rep_p99_ok;
-  Alcotest.(check (float 1e-9)) "error rate" 0.001
-    r.Telemetry.Slo.rep_error_rate;
-  Alcotest.(check (float 1e-9)) "burn rate = rate / target" 0.1
-    r.Telemetry.Slo.rep_error_budget_burn;
-  Alcotest.(check (float 1e-9)) "deadline hit rate" 0.002
-    r.Telemetry.Slo.rep_deadline_hit_rate;
-  let over =
-    Telemetry.Slo.eval t ~p99_ms:2.0 ~errors:50 ~deadline_hits:0 ~total:1000
-  in
-  Alcotest.(check bool) "p99 breach detected" false
-    over.Telemetry.Slo.rep_p99_ok;
-  Alcotest.(check bool) "burn > 1 when out of budget" true
-    (over.Telemetry.Slo.rep_error_budget_burn > 1.0);
-  let j = Telemetry.Slo.report_to_json r in
-  List.iter
-    (fun field ->
-      Alcotest.(check bool) (field ^ " in report JSON") true
-        (contains ~needle:("\"" ^ field ^ "\":") j))
-    [ "deadline_hit_rate"; "error_budget_burn"; "error_rate"; "p99_ms";
-      "p99_ok"; "total" ]
-
 let suite =
   [ Alcotest.test_case "span nesting and durations" `Quick test_span_nesting;
     Alcotest.test_case "multi-domain counters and histograms" `Quick
@@ -458,5 +431,4 @@ let suite =
     Alcotest.test_case "prometheus exposition passes lint" `Quick
       test_expose_prometheus;
     Alcotest.test_case "exposition lint rejects malformed text" `Quick
-      test_expose_lint_rejects;
-    Alcotest.test_case "slo evaluation and burn rate" `Quick test_slo_eval ]
+      test_expose_lint_rejects ]
