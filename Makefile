@@ -49,8 +49,8 @@ fingerprints: build
 	@echo "fingerprints: OK"
 
 # Rewrite the committed bench artifacts in canonical form: sorted keys,
-# fixed float formatting, one trailing newline.  Timings vary run to
-# run; shape and key order never do.  The pipeline bench is one
+# floats as exact %.17g (Model.Jsonx), one trailing newline.  Timings
+# vary run to run; shape and key order never do.  The pipeline bench is one
 # sequential synthesis pass over four types in a fresh process: it
 # writes BENCH_pipeline.json (the pass's stage wall times and its
 # counters, which are deterministic counts) and BENCH_telemetry.json
@@ -135,16 +135,19 @@ bench-smoke: build
 # The observability paths: CLI --stats, the pipeline bench's one
 # synthesis pass (rewrites BENCH_pipeline.json with its stage wall
 # times and counters, and BENCH_telemetry.json with its metrics
-# snapshot; fails over 2% unattributed synthesis time), and the
+# snapshot; fails over 2% unattributed synthesis time), the
 # Prometheus exposition rendered from that snapshot, linted for
 # malformed names, missing or duplicate HELP/TYPE, non-contiguous
-# families and bad values.
+# families and bad values, and a read-back: the snapshot JSON that
+# `stats --json` prints must read back to the same bytes.
 observability: build
 	dune exec bin/autotype_cli.exe -- synth --type credit-card --stats
 	dune exec bench/main.exe -- pipeline
 	@test -s BENCH_pipeline.json || { echo "BENCH_pipeline.json missing or empty"; exit 1; }
 	@test -s BENCH_telemetry.json || { echo "BENCH_telemetry.json missing or empty"; exit 1; }
 	dune exec bin/autotype_cli.exe -- stats --snapshot BENCH_telemetry.json --prom --lint > /dev/null
+	dune exec bin/autotype_cli.exe -- stats --snapshot BENCH_telemetry.json --json > _build/stats_readback.json
+	dune exec bin/autotype_cli.exe -- stats --snapshot _build/stats_readback.json --json | cmp - _build/stats_readback.json
 
 # Full gate: build, test suites (the VM's parity with the tree-walking
 # reference evaluator and the fuzzers run there, DESIGN.md §14), the

@@ -606,48 +606,18 @@ let print_pass_report { elapsed; stages; unattributed; snap } =
     (Telemetry.find_counter snap "ranking.trace_cache_hits")
     (Telemetry.find_counter snap "ranking.trace_cache_misses")
     (Telemetry.find_counter snap "pipeline.candidates_pruned");
-  Printf.printf "staticcheck: %d candidates pruned, %d diagnostics\n"
-    (Telemetry.find_counter snap "staticcheck.pruned")
-    (Telemetry.find_counter snap "staticcheck.diagnostics");
+  Printf.printf "staticcheck: %d candidates pruned\n"
+    (Telemetry.find_counter snap "staticcheck.pruned");
   Printf.printf "wall-clock: %.2fs\n" elapsed
 
-(* Deterministic JSON for the BENCH files: object keys are emitted
-   sorted and every float is formatted %.6f, so two runs differ only
-   where the measurements differ — never in layout. *)
-type jv =
-  | J_int of int
-  | J_float of float
-  | J_bool of bool
-  | J_str of string
-  | J_list of jv list
-  | J_obj of (string * jv) list
+module J = Model.Jsonx
 
-let rec jv_to_string = function
-  | J_int i -> string_of_int i
-  | J_float f -> Printf.sprintf "%.6f" f
-  | J_bool b -> string_of_bool b
-  | J_str s ->
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  | J_list xs -> "[" ^ String.concat "," (List.map jv_to_string xs) ^ "]"
-  | J_obj kvs ->
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> jv_to_string (J_str k) ^ ":" ^ jv_to_string v)
-           (List.sort (fun (a, _) (b, _) -> String.compare a b) kvs))
-    ^ "}"
+(* The BENCH files list object keys in sorted order, so two runs differ
+   only where the measurements differ, never in layout. *)
+let write_json path j =
+  let oc = open_out path in
+  output_string oc (J.to_string j ^ "\n");
+  close_out oc
 
 let pipeline_bench () =
   section "Pipeline stage timings (BENCH_pipeline.json)";
@@ -656,36 +626,29 @@ let pipeline_bench () =
   print_pass_report pass;
   (* [elapsed_s] and [stages.*.total_s] are wall times of this cold
      pass; [counters] are counts, equal on every run at jobs 1. *)
-  let json =
-    jv_to_string
-      (J_obj
-         [ ("types", J_list (List.map (fun id -> J_str id) type_ids));
-           ("elapsed_s", J_float pass.elapsed);
-           ("unattributed_share", J_float pass.unattributed);
-           ( "stages",
-             J_obj
-               (List.map
-                  (fun (name, n, total_s) ->
-                    ( name,
-                      J_obj
-                        [ ("spans", J_int n); ("total_s", J_float total_s) ] ))
-                  pass.stages) );
-           ( "counters",
-             J_obj
-               (List.map
-                  (fun (name, v) -> (name, J_int v))
-                  pass.snap.Telemetry.counters) ) ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc json;
-  close_out oc;
+  write_json "BENCH_pipeline.json"
+    (J.Obj
+       [ ( "counters",
+           J.Obj
+             (List.map (fun (name, v) -> (name, J.Int v))
+                pass.snap.Telemetry.counters) );
+         ("elapsed_s", J.Float pass.elapsed);
+         ( "stages",
+           J.Obj
+             (List.sort
+                (fun (a, _) (b, _) -> String.compare a b)
+                (List.map
+                   (fun (name, n, total_s) ->
+                     ( name,
+                       J.Obj [ ("spans", J.Int n); ("total_s", J.Float total_s) ]
+                     ))
+                   pass.stages)) );
+         ("types", J.List (List.map (fun id -> J.Str id) type_ids));
+         ("unattributed_share", J.Float pass.unattributed) ]);
   (* The pass's metrics snapshot doubles as the exposition fixture:
      `autotype stats --snapshot BENCH_telemetry.json --prom --lint` is
      the CI check that the Prometheus surface stays well-formed. *)
-  let oc = open_out "BENCH_telemetry.json" in
-  output_string oc (Telemetry.Expose.render_json pass.snap ^ "\n");
-  close_out oc;
+  write_json "BENCH_telemetry.json" (Serve.Ingest.snapshot_to_json pass.snap);
   Printf.printf "wrote BENCH_pipeline.json + BENCH_telemetry.json (%d types)\n"
     (List.length type_ids);
   if pass.unattributed > max_unattributed_share then begin
@@ -1062,18 +1025,18 @@ let parity_probe registry workloads =
   !ok
 
 let rate_json (r : rate_result) =
-  J_obj
-    [ ("target_qps", J_int r.rr_target_qps);
-      ("offered", J_int r.rr_offered);
-      ("completed", J_int r.rr_completed);
-      ("sustained_qps", J_float r.rr_sustained_qps);
-      ("p50_ms", J_float r.rr_p50_ms);
-      ("p95_ms", J_float r.rr_p95_ms);
-      ("p99_ms", J_float r.rr_p99_ms);
-      ("rejected", J_int r.rr_rejected);
-      ("degraded_columns", J_int r.rr_degraded);
-      ("deadline_verdicts", J_int r.rr_deadline_verdicts);
-      ("errors", J_int r.rr_errors) ]
+  J.Obj
+    [ ("completed", J.Int r.rr_completed);
+      ("deadline_verdicts", J.Int r.rr_deadline_verdicts);
+      ("degraded_columns", J.Int r.rr_degraded);
+      ("errors", J.Int r.rr_errors);
+      ("offered", J.Int r.rr_offered);
+      ("p50_ms", J.Float r.rr_p50_ms);
+      ("p95_ms", J.Float r.rr_p95_ms);
+      ("p99_ms", J.Float r.rr_p99_ms);
+      ("rejected", J.Int r.rr_rejected);
+      ("sustained_qps", J.Float r.rr_sustained_qps);
+      ("target_qps", J.Int r.rr_target_qps) ]
 
 let print_rate_report label results =
   Printf.printf "\n-- %s --\n" label;
@@ -1165,27 +1128,21 @@ let serve_daemon_bench () =
      across %d requests\n"
     chaos_rejected chaos_degraded
     (List.fold_left (fun a r -> a + r.rr_offered) 0 chaos);
-  let json =
-    jv_to_string
-      (J_obj
-         [ ("types", J_list (List.map (fun t -> J_str t) serve_daemon_types));
-           ("rates", J_list (List.map (fun r -> J_int r) rates));
-           ("clean", J_list (List.map rate_json clean));
-           ( "chaos",
-             J_obj
-               [ ("spec", J_str chaos_spec);
-                 ("deadline_ms", J_float 30.0);
-                 ("value_budget_ms", J_float 2.0);
-                 ("rates", J_list (List.map rate_json chaos));
-                 ("rejected_total", J_int chaos_rejected);
-                 ("degraded_total", J_int chaos_degraded) ] );
-           ("parity", J_bool parity);
-           ("crashed", J_bool !crashed) ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
+  write_json "BENCH_serve.json"
+    (J.Obj
+       [ ( "chaos",
+           J.Obj
+             [ ("deadline_ms", J.Float 30.0);
+               ("degraded_total", J.Int chaos_degraded);
+               ("rates", J.List (List.map rate_json chaos));
+               ("rejected_total", J.Int chaos_rejected);
+               ("spec", J.Str chaos_spec);
+               ("value_budget_ms", J.Float 2.0) ] );
+         ("clean", J.List (List.map rate_json clean));
+         ("crashed", J.Bool !crashed);
+         ("parity", J.Bool parity);
+         ("rates", J.List (List.map (fun r -> J.Int r) rates));
+         ("types", J.List (List.map (fun t -> J.Str t) serve_daemon_types)) ]);
   Printf.printf "wrote BENCH_serve.json (%d rates x 2 passes)\n"
     (List.length rates);
   if (not parity) || !crashed then exit 1

@@ -505,10 +505,11 @@ let detect_cmd =
 (* -------------------------------- stats ---------------------------- *)
 
 let snapshot_arg =
-  Arg.(value & opt (some file) None
+  Arg.(required & opt (some file) None
        & info [ "snapshot" ] ~docv:"FILE"
-           ~doc:"Read metrics from a JSON snapshot file (as written by \
-                 the bench harness) instead of the live registry.")
+           ~doc:"Metrics snapshot file to render, as the bench harness \
+                 writes it ($(b,BENCH_telemetry.json)) or $(b,--json) \
+                 prints it.")
 
 let prom_arg =
   Arg.(value & flag
@@ -518,7 +519,7 @@ let prom_arg =
 let json_arg =
   Arg.(value & flag
        & info [ "json" ]
-           ~doc:"Render deterministic JSON (sorted keys, fixed floats).")
+           ~doc:"Render the snapshot JSON (sorted names, exact floats).")
 
 let lint_flag_arg =
   Arg.(value & flag
@@ -527,102 +528,50 @@ let lint_flag_arg =
                  HELP/TYPE, duplicate families); exit non-zero on \
                  malformed metrics.")
 
-let watch_arg =
-  Arg.(value & flag
-       & info [ "watch" ]
-           ~doc:"Redraw the requested view every interval until \
-                 interrupted.")
-
-let interval_arg =
-  Arg.(value & opt float 2.0
-       & info [ "interval" ] ~docv:"SECONDS"
-           ~doc:"Refresh period for $(b,--watch).")
-
 let stats_cmd =
-  let run snapshot_file prom json lint watch interval =
+  let run path prom json lint =
     if prom && json then begin
       prerr_endline "--prom and --json are exclusive";
       2
     end
-    else if watch && not (Float.is_finite interval && interval > 0.0) then begin
-      Printf.eprintf "--interval must be a positive number of seconds (got %g)\n"
-        interval;
-      2
-    end
-    else begin
-      let load () : (Telemetry.snapshot, string) result =
-        match snapshot_file with
-        | None -> Ok (Telemetry.snapshot ())
-        | Some path ->
-          (* Serve.Ingest.read_file: the channel is closed on every
-             path and a snapshot truncated by a concurrent rewrite
-             (the --watch race) comes back as Error, not an escaped
-             End_of_file. *)
-          (match Serve.Ingest.read_file path with
-           | Error msg -> Error (Printf.sprintf "cannot read %s: %s" path msg)
-           | Ok text ->
-             Result.map_error
-               (fun msg -> path ^ ": " ^ msg)
-               (Serve.Ingest.snapshot_of_string text))
+    else
+      let loaded =
+        match Serve.Ingest.read_file path with
+        | Error msg -> Error (Printf.sprintf "cannot read %s: %s" path msg)
+        | Ok text ->
+          Result.map_error
+            (fun msg -> path ^ ": " ^ msg)
+            (Serve.Ingest.snapshot_of_string text)
       in
-      let render_once () =
-        match load () with
-        | Error msg -> prerr_endline msg; 1
-        | Ok snap ->
-          let prom_text () = Telemetry.Expose.render_prometheus snap in
-          if prom then print_string (prom_text ())
-          else if json then print_endline (Telemetry.Expose.render_json snap)
-          else begin
-            let table = Telemetry.render_metrics snap in
-            if table = "" then print_endline "no metrics recorded"
-            else print_string table
-          end;
-          if lint then begin
-            match Telemetry.Expose.lint (prom_text ()) with
-            | Ok n ->
-              Printf.eprintf "exposition OK: %d well-formed families\n" n;
-              0
-            | Error msgs ->
-              List.iter
-                (fun m -> Printf.eprintf "exposition lint: %s\n" m)
-                msgs;
-              1
-          end
-          else 0
-      in
-      if not watch then render_once ()
-      else begin
-        (* Interruptible watch: SIGINT stops the loop cleanly and the
-           worst render's exit code — accumulated across iterations —
-           actually reaches the shell instead of dying with the
-           process. *)
-        let stop = ref false in
-        let prev =
-          Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true))
-        in
-        Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint prev)
-        @@ fun () ->
-        let rec loop code =
-          if !stop then code
-          else begin
-            (* Clear screen + home, like a minimal [watch(1)]. *)
-            print_string "\027[2J\027[H";
-            let code' = render_once () in
-            flush stdout;
-            (try Unix.sleepf interval
-             with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            loop (max code code')
-          end
-        in
-        loop 0
-      end
-    end
+      match loaded with
+      | Error msg -> prerr_endline msg; 1
+      | Ok snap ->
+        let prom_text () = Telemetry.Expose.render_prometheus snap in
+        if prom then print_string (prom_text ())
+        else if json then
+          print_endline
+            (Model.Jsonx.to_string (Serve.Ingest.snapshot_to_json snap))
+        else begin
+          let table = Telemetry.render_metrics snap in
+          if table = "" then print_endline "no metrics recorded"
+          else print_string table
+        end;
+        if lint then begin
+          match Telemetry.Expose.lint (prom_text ()) with
+          | Ok n ->
+            Printf.eprintf "exposition OK: %d well-formed families\n" n;
+            0
+          | Error msgs ->
+            List.iter
+              (fun m -> Printf.eprintf "exposition lint: %s\n" m)
+              msgs;
+            1
+        end
+        else 0
   in
   Cmd.v
-    (Cmd.info "stats"
-       ~doc:"Show telemetry metrics (live registry or a snapshot file)")
-    Term.(const run $ snapshot_arg $ prom_arg $ json_arg $ lint_flag_arg
-          $ watch_arg $ interval_arg)
+    (Cmd.info "stats" ~doc:"Show the metrics of a snapshot file")
+    Term.(const run $ snapshot_arg $ prom_arg $ json_arg $ lint_flag_arg)
 
 (* -------------------------------- serve ---------------------------- *)
 

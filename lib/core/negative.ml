@@ -126,9 +126,3 @@ let random_strings ?(per_positive = 8) ~seed (positives : string list) :
       let len = 5 + Random.State.int rng 16 in
       String.init len (fun _ ->
           List.nth sigma_full (Random.State.int rng (List.length sigma_full))))
-
-(** Filter out mutants that are accidentally positive when a ground-truth
-    oracle is available — used only by tests, never by the pipeline
-    (the paper instead allows a θ fraction of N to be covered). *)
-let filter_true_negatives ~oracle negs =
-  List.filter (fun s -> not (oracle s)) negs

@@ -33,7 +33,3 @@ val generate :
 
 val random_strings : ?per_positive:int -> seed:int -> string list -> string list
 (** The naive random-string baseline of Figure 10(c). *)
-
-val filter_true_negatives : oracle:(string -> bool) -> string list -> string list
-(** Drop accidentally-positive mutants using a ground-truth oracle.
-    Used only by tests — the pipeline instead budgets for them with θ. *)

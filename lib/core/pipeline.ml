@@ -57,7 +57,6 @@ let m_candidates_kept = Telemetry.counter "pipeline.candidates_kept"
 let m_candidates_rejected = Telemetry.counter "pipeline.candidates_rejected"
 let m_strategy_attempts = Telemetry.counter "pipeline.strategy_attempts"
 let m_static_pruned = Telemetry.counter "staticcheck.pruned"
-let m_static_diags = Telemetry.counter "staticcheck.diagnostics"
 
 (** Search + static analysis + executability probing: everything up to
     (but excluding) example-driven ranking. *)
@@ -88,16 +87,8 @@ let gather_candidates ~(index : Repolib.Search.index) ~(config : config)
               raw
           in
           let pruned = List.length raw - List.length kept in
-          let diags =
-            List.fold_left
-              (fun n repo ->
-                n + List.length (Repolib.Analyzer.repo_diagnostics repo))
-              0 repos
-          in
           Telemetry.incr ~by:pruned m_static_pruned;
-          Telemetry.incr ~by:diags m_static_diags;
           Telemetry.add_attr "pruned" (Telemetry.I pruned);
-          Telemetry.add_attr "diagnostics" (Telemetry.I diags);
           kept)
   in
   let candidates =

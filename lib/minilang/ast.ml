@@ -91,8 +91,6 @@ and cls = {
 
 type program = { prog_file : string; prog_body : block }
 
-let pos_to_string p = Printf.sprintf "%s:%d" p.file p.line
-
 let binop_to_string = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Floordiv -> "//"
   | Mod -> "%" | Pow -> "**"

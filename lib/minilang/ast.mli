@@ -90,7 +90,6 @@ and cls = {
 
 type program = { prog_file : string; prog_body : block }
 
-val pos_to_string : pos -> string
 val binop_to_string : binop -> string
 
 val fold_stmts : ('a -> stmt -> 'a) -> 'a -> block -> 'a

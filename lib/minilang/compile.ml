@@ -694,17 +694,6 @@ let m_compile_ns = Telemetry.counter "vm.compile_ns"
 let m_compiles = Telemetry.counter "vm.compiles"
 let m_cache_hits = Telemetry.counter "vm.compile_cache_hits"
 
-type stats_snapshot = { compiles : int; cache_hits : int }
-
-type dom_stats = { mutable s_compiles : int; mutable s_hits : int }
-
-let dom_stats_key : dom_stats Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { s_compiles = 0; s_hits = 0 })
-
-let stats () =
-  let s = Domain.DLS.get dom_stats_key in
-  { compiles = s.s_compiles; cache_hits = s.s_hits }
-
 let compile_func_uncached (fn : Ast.func) : cfunc =
   let slots, flagged, nslots = collect_locals fn in
   let mode = M_fun (slots, flagged) in
@@ -769,7 +758,6 @@ let prog_cache : cprog ProgTbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ProgTbl.create 32)
 
 let timed_compile f =
-  let s = Domain.DLS.get dom_stats_key in
   let telemetry = Telemetry.enabled () in
   let t0 = if telemetry then Telemetry.now_ns () else 0L in
   let r = f () in
@@ -778,15 +766,12 @@ let timed_compile f =
       m_compile_ns;
     Telemetry.incr m_compiles
   end;
-  s.s_compiles <- s.s_compiles + 1;
   r
 
 let func (fn : Ast.func) : cfunc =
   let cache = Domain.DLS.get func_cache in
   match FuncTbl.find_opt cache fn with
   | Some cf ->
-    let s = Domain.DLS.get dom_stats_key in
-    s.s_hits <- s.s_hits + 1;
     if Telemetry.enabled () then Telemetry.incr m_cache_hits;
     cf
   | None ->
@@ -798,8 +783,6 @@ let program (p : Ast.program) : cprog =
   let cache = Domain.DLS.get prog_cache in
   match ProgTbl.find_opt cache p with
   | Some cp ->
-    let s = Domain.DLS.get dom_stats_key in
-    s.s_hits <- s.s_hits + 1;
     if Telemetry.enabled () then Telemetry.incr m_cache_hits;
     cp
   | None ->

@@ -104,8 +104,3 @@ val func : Ast.func -> cfunc
 
 val program : Ast.program -> cprog
 (** Compile (or fetch from this domain's cache) a module body. *)
-
-type stats_snapshot = { compiles : int; cache_hits : int }
-
-val stats : unit -> stats_snapshot
-(** This domain's compile/cache-hit counters (monotonic). *)

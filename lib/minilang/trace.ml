@@ -14,11 +14,6 @@ let site_of_pos (p : Ast.pos) = { s_file = p.Ast.file; s_line = p.Ast.line }
 
 let site_to_string s = Printf.sprintf "%s:%d" s.s_file s.s_line
 
-let compare_site a b =
-  match String.compare a.s_file b.s_file with
-  | 0 -> compare a.s_line b.s_line
-  | c -> c
-
 (** Abstraction of a return value, per the featurization of Section 5.2. *)
 type ret_abstract =
   | Rbool of bool

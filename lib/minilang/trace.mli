@@ -9,7 +9,6 @@ type site = { s_file : string; s_line : int }
 
 val site_of_pos : Ast.pos -> site
 val site_to_string : site -> string
-val compare_site : site -> site -> int
 
 type ret_abstract =
   | Rbool of bool

@@ -190,8 +190,7 @@ let classify t inflight (c : conn) (item : Frame.item) : outcome =
           let ctx = ctx_of rq in
           Ready
             (Protocol.ok_stats ~id:rq.rq_id ~trace_id:ctx.trace_id
-               ~stats_json:
-                 (Telemetry.Expose.render_json (Telemetry.snapshot ())))
+               ~snapshot:(Telemetry.snapshot ()))
         | Protocol.Shutdown -> assert false))
 
 (* Group this cycle's batched requests by type, preserving first-seen

@@ -1,5 +1,5 @@
-(** Value ingestion shared by the CLI and the serving daemon (see
-    ingest.mli for the contracts). *)
+(** Value ingestion shared by the CLI and the serving daemon, and the
+    snapshot JSON codec (see ingest.mli for the contracts). *)
 
 let m_empty_values = Telemetry.counter "detect.empty_values"
 
@@ -53,8 +53,32 @@ let read_file path =
      | (Ok _ | Error _) as r -> r
      | exception Sys_error msg -> Error msg)
 
+module J = Model.Jsonx
+
+(* JSON has no non-finite numbers: those are written as the strings
+   "+Inf", "-Inf" and "NaN", the Prometheus spellings, and read back
+   below.  Every other float prints as %.17g, which reads back exactly. *)
+let json_float v =
+  if Float.is_nan v then J.Str "NaN"
+  else if v = Float.infinity then J.Str "+Inf"
+  else if v = Float.neg_infinity then J.Str "-Inf"
+  else J.Float v
+
+let snapshot_to_json (snap : Telemetry.snapshot) : J.t =
+  let histogram (h : Telemetry.hist_snapshot) =
+    J.Obj
+      [ ("count", J.Int h.h_count); ("max", json_float h.h_max);
+        ("mean", json_float h.h_mean); ("min", json_float h.h_min);
+        ("p50", json_float h.h_p50); ("p95", json_float h.h_p95);
+        ("p99", json_float h.h_p99); ("sum", json_float h.h_sum) ]
+  in
+  J.Obj
+    [ ("counters",
+       J.Obj (List.map (fun (k, v) -> (k, J.Int v)) snap.counters));
+      ("histograms",
+       J.Obj (List.map (fun (k, h) -> (k, histogram h)) snap.histograms)) ]
+
 let snapshot_of_string text : (Telemetry.snapshot, string) result =
-  let module J = Model.Jsonx in
   let section name decode j =
     match J.member name j with
     | J.Obj kvs -> List.map (fun (k, v) -> (k, decode v)) kvs

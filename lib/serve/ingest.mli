@@ -1,12 +1,13 @@
-(** Value ingestion shared by the CLI and the serving daemon.
+(** Value ingestion shared by the CLI and the serving daemon, and the
+    JSON codec of metrics snapshots.
 
-    Columns and snapshot files used to be read by ad-hoc helpers inside
-    the CLI, with two real bugs: blank lines were silently dropped from
-    columns (so a column containing empty values was scored over the
-    wrong denominator), and a snapshot file truncated mid-read (e.g. by
-    a concurrent rewrite under [stats --watch]) leaked the channel and
-    escaped with an uncaught [End_of_file].  This module is the single
-    fixed implementation. *)
+    A column keeps its empty values, which count in its denominator.
+    A file read closes its channel on every path and returns a torn
+    read as an [Error], not an escaped [End_of_file].  The snapshot
+    JSON has one writer, {!snapshot_to_json}, and one reader,
+    {!snapshot_of_string}: the bench's [BENCH_telemetry.json],
+    [autotype stats] and the daemon's [stats] reply share the one
+    format. *)
 
 val read_column : string -> (string list, string) result
 (** Read a column file, one value per line, {e preserving empty
@@ -31,13 +32,22 @@ val read_file : string -> (string, string) result
 (** Whole-file read.  The channel is closed on every path
     ([Fun.protect]); truncation and I/O errors come back as [Error]. *)
 
+val snapshot_to_json : Telemetry.snapshot -> Model.Jsonx.t
+(** The metrics snapshot as JSON: the form of [BENCH_telemetry.json],
+    of [autotype stats --json] and of the daemon's [stats] reply.  One
+    object with a [counters] object of integers and a [histograms]
+    object of records with the keys [count], [max], [mean], [min],
+    [p50], [p95], [p99] and [sum], in that order; names keep the
+    snapshot's sorted order.  A finite float prints exactly
+    ({!Model.Jsonx.to_string} uses [%.17g]); a non-finite one is the
+    string ["+Inf"], ["-Inf"] or ["NaN"]. *)
+
 val snapshot_of_string : string -> (Telemetry.snapshot, string) result
-(** Decode a snapshot file as written by {!Telemetry.Expose.render_json}
+(** Decode a snapshot written by {!snapshot_to_json}
     ([BENCH_telemetry.json], [autotype stats --snapshot]).  The text
     must be one JSON object whose [counters] and [histograms] members
     are objects of integers and of complete histogram records; other
     members are ignored.  A histogram's float fields are numbers or
-    the strings ["+Inf"], ["-Inf"] and ["NaN"] that [render_json]
-    writes for non-finite values.  [Error] starts with
+    the strings ["+Inf"], ["-Inf"] and ["NaN"].  [Error] starts with
     ["malformed JSON: "] or ["not a metrics snapshot: "]; no input
     raises. *)

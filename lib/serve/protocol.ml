@@ -10,13 +10,6 @@ type op =
   | Health
   | Shutdown
 
-let op_to_string = function
-  | Validate -> "validate"
-  | Detect -> "detect"
-  | Stats -> "stats"
-  | Health -> "health"
-  | Shutdown -> "shutdown"
-
 let op_of_string = function
   | "validate" -> Some Validate
   | "detect" -> Some Detect
@@ -131,13 +124,8 @@ let ok_health ~id ~trace_id ~models ~served ~rejected ~uptime_ms =
     [ ("models", J.Int models); ("served", J.Int served);
       ("rejected", J.Int rejected); ("uptime_ms", J.Int uptime_ms) ]
 
-let ok_stats ~id ~trace_id ~stats_json =
-  (* [stats_json] is Telemetry.Expose.render_json output: already a
-     rendered object, re-parsed so it nests as a value, not a string. *)
-  let stats =
-    match J.parse stats_json with Ok j -> j | Error _ -> J.Str stats_json
-  in
-  base ~id ~trace_id ~ok:true [ ("stats", stats) ]
+let ok_stats ~id ~trace_id ~snapshot =
+  base ~id ~trace_id ~ok:true [ ("stats", Ingest.snapshot_to_json snapshot) ]
 
 let ok_shutdown ~id ~trace_id =
   base ~id ~trace_id ~ok:true [ ("bye", J.Bool true) ]

@@ -25,7 +25,6 @@ type op =
   | Health
   | Shutdown
 
-val op_to_string : op -> string
 val op_of_string : string -> op option
 
 type request = {
@@ -65,9 +64,10 @@ val ok_health :
   id:int -> trace_id:int64 -> models:int -> served:int -> rejected:int ->
   uptime_ms:int -> string
 
-val ok_stats : id:int -> trace_id:int64 -> stats_json:string -> string
-(** [stats_json] is {!Telemetry.Expose.render_json} output, embedded as
-    a nested object. *)
+val ok_stats :
+  id:int -> trace_id:int64 -> snapshot:Telemetry.snapshot -> string
+(** The [stats] member is {!Ingest.snapshot_to_json}[ snapshot], the
+    format [autotype stats --snapshot] reads. *)
 
 val ok_shutdown : id:int -> trace_id:int64 -> string
 

@@ -214,9 +214,9 @@ let synthesize ?(seed = 11) ?pool (ty : Semtypes.Registry.t) =
   best
 
 (** The DNF-S detector for a type: its top-1 synthesized function. *)
-let dnf_detector ?(seed = 11) ?pool (ty : Semtypes.Registry.t) : detector =
+let dnf_detector ?(seed = 11) (ty : Semtypes.Registry.t) : detector =
   let type_id = ty.Semtypes.Registry.id in
-  match synthesize ~seed ?pool ty with
+  match synthesize ~seed ty with
   | Some syn ->
     { type_id; accepts = Autotype_core.Synthesis.validate syn; usable = true }
   | None -> { type_id; accepts = (fun _ -> false); usable = false }
@@ -308,7 +308,7 @@ type per_type_result = {
 (** Run all three methods on all 20 popular types over a column corpus.
     Relative recall per type uses the union of correct columns found by
     the three methods as ground truth (Section 9.1). *)
-let run ?(seed = 11) ?pool (columns : Webtables.column list) :
+let run ?(seed = 11) (columns : Webtables.column list) :
     per_type_result list =
   Telemetry.with_span "detect.run"
     ~attrs:[ ("columns", Telemetry.I (List.length columns)) ]
@@ -317,7 +317,7 @@ let run ?(seed = 11) ?pool (columns : Webtables.column list) :
   List.concat_map
     (fun (ty : Semtypes.Registry.t) ->
       let type_id = ty.Semtypes.Registry.id in
-      let dnf = dnf_detector ~seed ?pool ty in
+      let dnf = dnf_detector ~seed ty in
       let regex = regex_detector ~seed ty in
       let detections =
         [ (DNF_S, detect_with_values dnf columns);

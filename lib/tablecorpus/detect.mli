@@ -111,11 +111,9 @@ val synthesize :
     seed 11) and return its top-1 validator — the live detector of the
     DNF-S method and of [autotype detect] without [--models]. *)
 
-val dnf_detector :
-  ?seed:int -> ?pool:Exec.Pool.t -> Semtypes.Registry.t -> detector
+val dnf_detector : ?seed:int -> Semtypes.Registry.t -> detector
 (** The DNF-S detector for a type: {!synthesize}'s top-1 function,
-    wrapped; unusable when nothing was synthesized.  [pool] parallelizes
-    candidate tracing (see {!Exec.Pool}). *)
+    wrapped; unusable when nothing was synthesized. *)
 
 val regex_detector : ?seed:int -> Semtypes.Registry.t -> detector
 (** Potter's-Wheel inference from the same positive examples. *)
@@ -144,8 +142,5 @@ type per_type_result = {
   f1 : float;
 }
 
-val run :
-  ?seed:int -> ?pool:Exec.Pool.t -> Webtables.column list ->
-  per_type_result list
-(** All three methods on all 20 popular types (Figure 11 / Table 2).
-    [pool] parallelizes the per-type synthesis runs' candidate tracing. *)
+val run : ?seed:int -> Webtables.column list -> per_type_result list
+(** All three methods on all 20 popular types (Figure 11 / Table 2). *)

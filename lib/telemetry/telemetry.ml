@@ -182,29 +182,23 @@ module Flight = struct
         { fl_lock = Mutex.create (); fl_buf = Array.make stripe_capacity None;
           fl_next = 0; fl_overwritten = 0 })
 
-  let flight_on = Atomic.make true
-  let enabled () = Atomic.get flight_on
-  let set_enabled b = Atomic.set flight_on b
-
   let record ?(value = 0.0) ~kind label =
-    if Atomic.get flight_on then begin
-      let trace_id, request_id =
-        match Context.current () with
-        | Some c -> (c.Context.trace_id, c.Context.request_id)
-        | None -> (0L, 0)
-      in
-      let ev =
-        { f_ns = now_ns (); f_trace_id = trace_id; f_request_id = request_id;
-          f_kind = kind; f_label = label; f_value = value }
-      in
-      let s = stripes.((Domain.self () :> int) land (n_stripes - 1)) in
-      Mutex.lock s.fl_lock;
-      if s.fl_buf.(s.fl_next) <> None then
-        s.fl_overwritten <- s.fl_overwritten + 1;
-      s.fl_buf.(s.fl_next) <- Some ev;
-      s.fl_next <- (s.fl_next + 1) mod stripe_capacity;
-      Mutex.unlock s.fl_lock
-    end
+    let trace_id, request_id =
+      match Context.current () with
+      | Some c -> (c.Context.trace_id, c.Context.request_id)
+      | None -> (0L, 0)
+    in
+    let ev =
+      { f_ns = now_ns (); f_trace_id = trace_id; f_request_id = request_id;
+        f_kind = kind; f_label = label; f_value = value }
+    in
+    let s = stripes.((Domain.self () :> int) land (n_stripes - 1)) in
+    Mutex.lock s.fl_lock;
+    if s.fl_buf.(s.fl_next) <> None then
+      s.fl_overwritten <- s.fl_overwritten + 1;
+    s.fl_buf.(s.fl_next) <- Some ev;
+    s.fl_next <- (s.fl_next + 1) mod stripe_capacity;
+    Mutex.unlock s.fl_lock
 
   let clear () =
     Array.iter
@@ -677,36 +671,6 @@ let write_jsonl path =
     close_out oc;
     Ok ()
 
-let attr_to_string (k, v) =
-  k ^ "="
-  ^ (match v with
-     | S s -> Printf.sprintf "%S" s
-     | I i -> string_of_int i
-     | F f -> Printf.sprintf "%g" f
-     | B b -> string_of_bool b)
-
-let render_tree () =
-  let all = spans () in
-  let buf = Buffer.create 1024 in
-  let children parent =
-    List.filter (fun s -> s.sp_parent = parent) all
-  in
-  let rec go depth s =
-    Buffer.add_string buf
-      (Printf.sprintf "%s%-*s %9s%s\n"
-         (String.make (2 * depth) ' ')
-         (max 1 (36 - (2 * depth)))
-         s.sp_name
-         (format_ns s.sp_dur_ns)
-         (match s.sp_attrs with
-          | [] -> ""
-          | attrs ->
-            "  " ^ String.concat " " (List.map attr_to_string attrs)));
-    List.iter (go (depth + 1)) (children (Some s.sp_id))
-  in
-  List.iter (go 0) (children None);
-  Buffer.contents buf
-
 let render_metrics snap =
   let buf = Buffer.create 1024 in
   if snap.counters <> [] then begin
@@ -800,38 +764,6 @@ module Expose = struct
     List.iter
       (fun (_, emit) -> emit ())
       (List.sort (fun (a, _) (b, _) -> String.compare a b) families);
-    Buffer.contents buf
-
-  (* JSON has no non-finite numbers: those are written as the strings
-     "+Inf", "-Inf" and "NaN", the Prometheus spellings, which
-     [Serve.Ingest.snapshot_of_string] reads back. *)
-  let json_float v =
-    if Float.is_finite v then Printf.sprintf "%.6f" v
-    else "\"" ^ float_str v ^ "\""
-
-  let render_json (snap : snapshot) : string =
-    let buf = Buffer.create 4096 in
-    let fields to_s kvs =
-      String.concat ","
-        (List.map
-           (fun (k, v) ->
-             Printf.sprintf "\"%s\":%s" (json_escape k) (to_s v))
-           kvs)
-    in
-    Buffer.add_string buf "{\"counters\":{";
-    Buffer.add_string buf (fields string_of_int snap.counters);
-    Buffer.add_string buf "},\"histograms\":{";
-    Buffer.add_string buf
-      (fields
-         (fun (h : hist_snapshot) ->
-           Printf.sprintf
-             "{\"count\":%d,\"max\":%s,\"mean\":%s,\"min\":%s,\
-              \"p50\":%s,\"p95\":%s,\"p99\":%s,\"sum\":%s}"
-             h.h_count (json_float h.h_max) (json_float h.h_mean)
-             (json_float h.h_min) (json_float h.h_p50) (json_float h.h_p95)
-             (json_float h.h_p99) (json_float h.h_sum))
-         snap.histograms);
-    Buffer.add_string buf "}}";
     Buffer.contents buf
 
   (* Exposition lint: the checks a Prometheus scraper would trip over.

@@ -18,8 +18,7 @@
     called.  The CLI turns it on for [--stats]/[--trace], the bench
     harness for its [pipeline] target, and tests enable it around
     individual assertions.  The {!Flight} recorder is independent of
-    that flag: it is always on (a bounded ring of recent events) unless
-    explicitly disabled.
+    that flag: it is always on (a bounded ring of recent events).
 
     Timing uses the OS monotonic clock (CLOCK_MONOTONIC via bechamel's
     stubs), so span durations are immune to wall-clock adjustments.
@@ -116,9 +115,8 @@ module Flight : sig
       events: span ends, deadline hits, column degradations, retry
       attempts, fault injections, model load failures, histogram
       exemplars.  Independent of the metrics [on]
-      flag — always recording (bounded memory, ~zero cost) unless
-      {!set_enabled}[ false].  Dumped as JSONL on demand or via
-      {!trigger} when something goes wrong. *)
+      flag — always recording (bounded memory, ~zero cost).  Dumped as
+      JSONL on demand or via {!trigger} when something goes wrong. *)
 
   type event = {
     f_ns : int64;  (** absolute monotonic time *)
@@ -131,9 +129,6 @@ module Flight : sig
 
   val capacity : int
   (** Total ring capacity across stripes; older events are overwritten. *)
-
-  val enabled : unit -> bool
-  val set_enabled : bool -> unit
 
   val record : ?value:float -> kind:string -> string -> unit
   (** Record one event on the calling domain's stripe.  Picks up the
@@ -268,9 +263,6 @@ val write_jsonl : string -> (unit, string) result
 (** Write every finished span, one JSON object per line, to a file.
     [Error msg] if the file cannot be written. *)
 
-val render_tree : unit -> string
-(** Indented tree of the recorded spans with durations and attributes. *)
-
 val render_metrics : snapshot -> string
 (** Fixed-width table of every registered counter (zeroes included, so
     absence-of-events is visible) and every non-empty histogram with
@@ -286,12 +278,6 @@ module Expose : sig
       histograms as summaries with quantile labels plus [_sum]/[_count].
       Families sorted by name, each with HELP and TYPE lines.  A
       scraper derives rates from the counters and [_count]s. *)
-
-  val render_json : snapshot -> string
-  (** Deterministic JSON (sorted keys, fixed float formatting) — also
-      the snapshot-file format read back by [autotype stats].  A
-      non-finite histogram field is the string ["+Inf"], ["-Inf"] or
-      ["NaN"]. *)
 
   val lint : string -> (int, string list) result
   (** Check a text exposition for scraper-visible defects: malformed

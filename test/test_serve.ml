@@ -607,6 +607,30 @@ let test_daemon_telemetry_bounded () =
   Alcotest.(check (list string)) "300 validates: the same spans" one many;
   Telemetry.reset ()
 
+(* The daemon's [stats] reply nests the snapshot in the one snapshot
+   format: its [stats] member, printed, is a file [autotype stats
+   --snapshot] reads, and it counts the requests decoded before it. *)
+let test_daemon_stats_reply () =
+  Telemetry.enable ();
+  Fun.protect ~finally:(fun () -> Telemetry.disable (); Telemetry.reset ())
+  @@ fun () ->
+  let replies, _, _ =
+    run_over_pipes
+      [ {|{"id":1,"op":"validate","type":"ipv4","values":["10.0.0.1"]}|};
+        {|{"id":2,"op":"stats"}|};
+        {|{"id":3,"op":"shutdown"}|} ]
+  in
+  let text = J.to_string (J.member "stats" (reply_of replies 2)) in
+  match Serve.Ingest.snapshot_of_string text with
+  | Error msg -> Alcotest.failf "stats reply is no snapshot: %s" msg
+  | Ok snap ->
+    Alcotest.(check int) "both requests before it counted" 2
+      (Telemetry.find_counter snap "daemon.requests");
+    Alcotest.(check bool) "histograms travel too" true
+      (List.mem_assoc "serve.column_latency_ms" snap.Telemetry.histograms);
+    Alcotest.(check string) "the reply is the codec's own text" text
+      (J.to_string (Serve.Ingest.snapshot_to_json snap))
+
 let test_daemon_socket () =
   let path = fresh_path ".sock" in
   let cfg = Serve.Daemon.config (open_registry ()) in
@@ -711,5 +735,7 @@ let suite =
      test_daemon_serve_telemetry);
     ("daemon telemetry stays bounded: no span or counter event per request",
      `Slow, test_daemon_telemetry_bounded);
+    ("daemon stats reply decodes as a snapshot", `Slow,
+     test_daemon_stats_reply);
     ("daemon over a Unix socket", `Slow, test_daemon_socket);
     ("empty values count in column totals", `Slow, test_empty_column_totals) ]

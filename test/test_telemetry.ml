@@ -142,16 +142,8 @@ let test_render () =
   Telemetry.enable ();
   let c = Telemetry.counter "test.render-counter" in
   Telemetry.incr ~by:3 c;
-  Telemetry.with_span "render.root" (fun () ->
-      Telemetry.with_span "render.leaf" (fun () -> ()));
-  let tree = Telemetry.render_tree () in
   let metrics = Telemetry.render_metrics (Telemetry.snapshot ()) in
   Telemetry.disable ();
-  Alcotest.(check bool) "tree lists both spans" true
-    (contains ~needle:"render.root" tree
-     && contains ~needle:"render.leaf" tree);
-  Alcotest.(check bool) "leaf is indented under root" true
-    (contains ~needle:"\n  render.leaf" tree);
   Alcotest.(check bool) "metrics table has the counter" true
     (contains ~needle:"test.render-counter" metrics)
 
@@ -288,8 +280,6 @@ let test_sketch_quantiles () =
 
 let test_flight_recorder () =
   Telemetry.Flight.clear ();
-  Alcotest.(check bool) "recorder on by default" true
-    (Telemetry.Flight.enabled ());
   (* Overfill this domain's stripe to force ring wrap-around. *)
   for i = 1 to 600 do
     Telemetry.Flight.record ~kind:"test" ~value:(float_of_int i) "wrap-evt"
@@ -347,13 +337,6 @@ let test_flight_recorder () =
          contains ~needle:"wrap-evt" l
          && contains ~needle:"0000000000000000" l)
        lines);
-  (* Disabling stops recording without clearing. *)
-  Telemetry.Flight.set_enabled false;
-  let before = List.length (Telemetry.Flight.events ()) in
-  Telemetry.Flight.record ~kind:"test" "while-disabled";
-  Alcotest.(check int) "no recording while disabled" before
-    (List.length (Telemetry.Flight.events ()));
-  Telemetry.Flight.set_enabled true;
   Telemetry.Flight.clear ();
   Alcotest.(check int) "clear empties the ring" 0
     (List.length (Telemetry.Flight.events ()));
@@ -380,12 +363,6 @@ let test_expose_prometheus () =
    | Ok n -> Alcotest.(check bool) "lint counts families" true (n >= 3)
    | Error msgs ->
      Alcotest.failf "exposition failed lint: %s" (String.concat "; " msgs));
-  (* Deterministic JSON: stable across calls, fixed top-level shape. *)
-  let j1 = Telemetry.Expose.render_json snap in
-  let j2 = Telemetry.Expose.render_json snap in
-  Alcotest.(check string) "render_json is deterministic" j1 j2;
-  Alcotest.(check bool) "render_json leads with counters" true
-    (String.length j1 > 12 && String.sub j1 0 12 = "{\"counters\":");
   Telemetry.reset ()
 
 let test_expose_lint_rejects () =
@@ -419,7 +396,7 @@ let suite =
       test_metrics_snapshot;
     Alcotest.test_case "no-op when disabled" `Quick test_noop_when_disabled;
     Alcotest.test_case "jsonl export shape" `Quick test_jsonl_export;
-    Alcotest.test_case "tree and metrics rendering" `Quick test_render;
+    Alcotest.test_case "metrics rendering" `Quick test_render;
     Alcotest.test_case "trace contexts: ids, nesting, restore" `Quick
       test_context;
     Alcotest.test_case "reset race drops stale-generation spans" `Quick
