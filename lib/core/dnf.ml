@@ -59,20 +59,55 @@ let make_instance ~(positives : Feature.Literal_set.t list)
     n_pos = List.length positives;
   }
 
-(* Build identical-coverage groups of literals (Algorithm 1, line 1). *)
+(* Literals as table keys.  The hash reads the line, the polarity or
+   return class and the exception kind, never the file name: a
+   candidate's literals mostly share one file, and equality settles the
+   rest. *)
+module Literal_tbl = Hashtbl.Make (struct
+  type t = Feature.literal
+
+  let ret_code : Minilang.Trace.ret_abstract -> int = function
+    | Rbool false -> 0
+    | Rbool true -> 1
+    | Rzero -> 2
+    | Rnonzero -> 3
+    | Rnone -> 4
+    | Rnotnone -> 5
+    | Rvoid -> 6
+
+  let same_site (a : Minilang.Trace.site) (b : Minilang.Trace.site) =
+    a.s_line = b.s_line && String.equal a.s_file b.s_file
+
+  let equal (a : t) (b : t) =
+    match (a, b) with
+    | Branch_is (s, x), Branch_is (s', x') -> x = x' && same_site s s'
+    | Return_is (s, r), Return_is (s', r') ->
+      ret_code r = ret_code r' && same_site s s'
+    | Raised k, Raised k' -> String.equal k k'
+    | (Branch_is _ | Return_is _ | Raised _), _ -> false
+
+  let hash : t -> int = function
+    | Branch_is (s, b) -> (s.s_line * 16) + Bool.to_int b
+    | Return_is (s, r) -> (s.s_line * 16) + 2 + ret_code r
+    | Raised k -> String.hash k
+end)
+
+(* Build identical-coverage groups of literals (Algorithm 1, line 1).
+   The tables' iteration order never reaches the result: members and
+   groups are sorted by [Feature.compare_literal]. *)
 let build_groups (inst : instance) : group list =
   let n = Array.length inst.traces in
-  let coverage_of : (Feature.literal, Bitset.t) Hashtbl.t = Hashtbl.create 256 in
+  let coverage_of : Bitset.t Literal_tbl.t = Literal_tbl.create 256 in
   Array.iteri
     (fun i trace ->
       Feature.Literal_set.iter
         (fun lit ->
           let bs =
-            match Hashtbl.find_opt coverage_of lit with
+            match Literal_tbl.find_opt coverage_of lit with
             | Some bs -> bs
             | None ->
               let bs = Bitset.create n in
-              Hashtbl.add coverage_of lit bs;
+              Literal_tbl.add coverage_of lit bs;
               bs
           in
           Bitset.set bs i)
@@ -81,7 +116,7 @@ let build_groups (inst : instance) : group list =
   let by_key : (string, Feature.literal list * Bitset.t) Hashtbl.t =
     Hashtbl.create 64
   in
-  Hashtbl.iter
+  Literal_tbl.iter
     (fun lit bs ->
       let key = Bitset.to_key bs in
       match Hashtbl.find_opt by_key key with

@@ -807,16 +807,31 @@ let file_method o name args =
 (* Name fallback and raise, shared by every evaluator                  *)
 (* ------------------------------------------------------------------ *)
 
+module String_tbl = Hashtbl.Make (String)
+
+type fallback = Fixed of Value.t | Argv
+
+(* Every name {!lookup_fallback} resolves, entered lowest precedence
+   first so that [replace] leaves each name's highest-precedence
+   meaning.  Read-only once built, so the tracing domains share it. *)
+let fallbacks : fallback String_tbl.t =
+  let tbl = String_tbl.create 64 in
+  let fixed name v = String_tbl.replace tbl name (Fixed v) in
+  List.iter (fun k -> fixed k (Vbuiltin ("exc:" ^ k))) known_exception_kinds;
+  String_tbl.replace tbl "argv" Argv;
+  fixed "sys" (Vbuiltin "sys_module");
+  fixed "re" (Vbuiltin "re_module");
+  List.iter (fun n -> fixed n (Vbuiltin n)) builtin_names;
+  tbl
+
 (** Resolve [name] after local and module scope both missed: builtins,
     the [re]/[sys] pseudo-modules, bare [argv], exception-kind
     constructors — or a [NameError], in that order. *)
 let lookup_fallback ctx name =
-  if List.mem name builtin_names then Vbuiltin name
-  else if name = "re" then Vbuiltin "re_module"
-  else if name = "sys" then Vbuiltin "sys_module"
-  else if name = "argv" then ctx.argv
-  else if List.mem name known_exception_kinds then Vbuiltin ("exc:" ^ name)
-  else
+  match String_tbl.find_opt fallbacks name with
+  | Some (Fixed v) -> v
+  | Some Argv -> ctx.argv
+  | None ->
     raise_error "NameError" (Printf.sprintf "name '%s' is not defined" name)
 
 (** Build the exception object [ValueError("msg")] etc. constructs. *)

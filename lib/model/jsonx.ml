@@ -34,10 +34,13 @@ let rec write buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
-    (* %.17g round-trips every binary64; normalize nan/inf (invalid in
-       JSON) to null — they never occur in artifacts. *)
+    (* %.17g round-trips every binary64 but writes -0.0 as "-0", which
+       reads back as the integer 0, so negative zero keeps a fraction;
+       normalize nan/inf (invalid in JSON) to null — they never occur
+       in artifacts. *)
     if Float.is_nan f || Float.abs f = Float.infinity then
       Buffer.add_string buf "null"
+    else if f = 0.0 && Float.sign_bit f then Buffer.add_string buf "-0.0"
     else Buffer.add_string buf (Printf.sprintf "%.17g" f)
   | Str s -> escape_string buf s
   | List items ->

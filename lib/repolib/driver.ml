@@ -3,8 +3,9 @@
 
     No run can see state a previous run left behind — the equivalent of
     the paper running each instrumented function in its own process:
-    each run gets a freshly loaded module scope, unless the scope is
-    provably inert and can be reused (see the scope cache below). *)
+    each run gets a freshly loaded module scope, or a cached one whose
+    module lists and dicts are put back to their loaded contents first
+    (see the scope cache below). *)
 
 open Minilang
 
@@ -66,40 +67,71 @@ let script_var_program (repo : Repo.t) ~var (prog : Ast.program) =
 (* --- Loaded-scope reuse ------------------------------------------- *)
 
 (* Re-loading a module scope on every run keeps state from leaking
-   between examples, but for most corpus repositories the loaded scope
-   is provably inert: no [global] statement anywhere (so calls can
-   never write into module scope) and every module-level value is
-   deeply immutable (so calls can never mutate state reachable from
-   it).  Such scopes are safe to reuse across runs — observations are
-   identical to a fresh load because nothing a run does is visible in
-   the scope afterwards.  The test suite's reference runner reloads on
+   between examples, but most corpus repositories can reuse one loaded
+   scope instead.  A scope is reusable when no file has a [global]
+   statement and every module value is immutable or a list, dict or
+   tuple built from such values — no object, no bound method:
+   - function bodies cannot rebind module names without [global]
+     ([I_store_name*] runs only in module code), so the names keep
+     their values;
+   - a run can still mutate a module list or dict, but each is an
+     immutable OCaml list in a ref (a cell), so saving every reachable
+     cell's contents at load and putting back each one that changed
+     returns the scope to exactly what a fresh load gives.
+   The cells are put back when the scope is handed to the next run, so
+   every way a run ends — return, exception, deadline, infrastructure
+   failure — is covered, and a run's returned value keeps the contents
+   it was returned with.  The test suite's reference runner reloads on
    every run, and the corpus parity test holds cached-scope runs equal
    to it.  Script invocations (which execute INTO the scope) always
    reload.  Per-domain table: scopes are mutable structures and must
    not be shared across tracing domains. *)
 
-let rec immutable_value (v : Value.t) =
-  match v with
-  | Value.Vint _ | Value.Vfloat _ | Value.Vbool _ | Value.Vstr _
-  | Value.Vnone | Value.Vbuiltin _ | Value.Vfun _ | Value.Vclass _ ->
-    true
-  | Value.Vtuple vs -> List.for_all immutable_value vs
-  | Value.Vlist _ | Value.Vdict _ | Value.Vobj _ | Value.Vbound _ -> false
+(* A module list's or dict's cell with its contents at load. *)
+type cell = Cell : 'a list ref * 'a list -> cell
 
-let scope_reusable (progs : Ast.program list) (scope : Value.scope) =
-  let has_global (p : Ast.program) =
-    Ast.fold_stmts
-      (fun acc s -> acc || match s with Ast.Global _ -> true | _ -> false)
-      false p.Ast.prog_body
+exception Not_restorable
+
+(* The list and dict cells reachable from [scope]'s values; [None] when
+   an object or a bound method is reachable.  Each cell is walked once,
+   so cyclic data terminates. *)
+let reachable_cells (scope : Value.scope) : cell list option =
+  let cells = ref [] and lists = ref [] and dicts = ref [] in
+  let enter seen r walk_item =
+    if not (List.memq r !seen) then begin
+      seen := r :: !seen;
+      cells := Cell (r, !r) :: !cells;
+      List.iter walk_item !r
+    end
   in
-  (not (List.exists has_global progs))
-  && Hashtbl.fold
-       (fun _ v acc -> acc && immutable_value v)
-       scope.Value.vars true
+  let rec walk (v : Value.t) =
+    match v with
+    | Value.Vint _ | Value.Vfloat _ | Value.Vbool _ | Value.Vstr _
+    | Value.Vnone | Value.Vbuiltin _ | Value.Vfun _ | Value.Vclass _ ->
+      ()
+    | Value.Vtuple vs -> List.iter walk vs
+    | Value.Vlist r -> enter lists r walk
+    | Value.Vdict r ->
+      enter dicts r (fun (k, v) ->
+          walk k;
+          walk v)
+    | Value.Vobj _ | Value.Vbound _ -> raise Not_restorable
+  in
+  match Hashtbl.iter (fun _ v -> walk v) scope.Value.vars with
+  | () -> Some !cells
+  | exception Not_restorable -> None
 
-type scope_entry = Reusable of Value.scope | Reload
+let restore cells =
+  List.iter (fun (Cell (r, saved)) -> if !r != saved then r := saved) cells
 
-(* Keyed by repository identity ({!Repo.Tbl}): a hit costs one short
+let has_global (p : Ast.program) =
+  Ast.fold_stmts
+    (fun acc s -> acc || match s with Ast.Global _ -> true | _ -> false)
+    false p.Ast.prog_body
+
+type scope_entry = Reusable of Value.scope * cell list | Reload
+
+(* Keyed by repository identity ({!Repo.Tbl}): a hit costs one string
    hash and a table probe — no parse-cache mutex, no program
    filtering. *)
 let scope_cache : ((unit, scope_entry) Repo.Tbl.t) Domain.DLS.key =
@@ -124,15 +156,22 @@ let load_scope ?(skip_file = "") (repo : Repo.t) : Value.scope option =
   else
     let tbl = Domain.DLS.get scope_cache in
     match Repo.Tbl.find_opt tbl repo () with
-    | Some (Reusable scope) ->
+    | Some (Reusable (scope, cells)) ->
       Telemetry.incr m_scope_cache_hits;
+      restore cells;
       Some scope
     | Some Reload -> Option.map snd (load_fresh repo)
     | None ->
       Option.map
         (fun (progs, scope) ->
-          Repo.Tbl.replace tbl repo ()
-            (if scope_reusable progs scope then Reusable scope else Reload);
+          let entry =
+            if List.exists has_global progs then Reload
+            else
+              match reachable_cells scope with
+              | Some cells -> Reusable (scope, cells)
+              | None -> Reload
+          in
+          Repo.Tbl.replace tbl repo () entry;
           scope)
         (load_fresh repo)
 

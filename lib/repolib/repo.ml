@@ -50,20 +50,39 @@ let parse_all repo : (Minilang.Ast.program list, string) result =
    repositories built apart under one name (tests, decoded artifacts)
    never share an entry.  Hashing the sources instead would cost more
    than a short run.  One entry per name and key: a repository built
-   anew under a known name replaces the old entry. *)
+   anew under a known name replaces the old entry.  The table is keyed
+   by the name alone, so a hit hashes and compares one string; a name
+   holds few keys (one for a repository-wide entry, one per candidate
+   for the analyzer's memos, 34 at most in the corpus), kept in a list
+   where a [unit] key matches by [==] without a compare. *)
 module Tbl = struct
-  type repo = t
-  type ('k, 'v) t = (string * 'k, file list * 'v) Hashtbl.t
+  module Names = Hashtbl.Make (String)
 
-  let create n : ('k, 'v) t = Hashtbl.create n
+  type repo = t
+  type ('k, 'v) t = ('k * (file list * 'v)) list Names.t
+
+  let create n : ('k, 'v) t = Names.create n
+  let same_key k k' = k == k' || k = k'
+
+  let rec assoc k = function
+    | [] -> None
+    | (k', entry) :: rest -> if same_key k k' then Some entry else assoc k rest
 
   let find_opt (tbl : ('k, 'v) t) (repo : repo) k =
-    match Hashtbl.find_opt tbl (repo.repo_name, k) with
-    | Some (files, v) when files == repo.files -> Some v
-    | _ -> None
+    match Names.find_opt tbl repo.repo_name with
+    | None -> None
+    | Some entries ->
+      (match assoc k entries with
+       | Some (files, v) when files == repo.files -> Some v
+       | _ -> None)
 
   let replace (tbl : ('k, 'v) t) (repo : repo) k v =
-    Hashtbl.replace tbl (repo.repo_name, k) (repo.files, v)
+    let others =
+      match Names.find_opt tbl repo.repo_name with
+      | Some entries -> List.filter (fun (k', _) -> not (same_key k k')) entries
+      | None -> []
+    in
+    Names.replace tbl repo.repo_name ((k, (repo.files, v)) :: others)
 end
 
 (* A [Tbl] the tracing domains share.  The computation runs outside the

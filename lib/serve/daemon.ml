@@ -6,6 +6,9 @@ let m_requests = Telemetry.counter "daemon.requests"
 let m_overloaded = Telemetry.counter "daemon.overloaded"
 let m_bad_frames = Telemetry.counter "daemon.bad_frames"
 let m_batches = Telemetry.counter "daemon.batches"
+let m_bad_requests = Telemetry.counter "daemon.bad_requests"
+let m_unknown_types = Telemetry.counter "daemon.unknown_types"
+let m_internal_errors = Telemetry.counter "daemon.internal_errors"
 
 type config = {
   registry : Model.Registry.t;
@@ -97,6 +100,7 @@ let serve_group t ((ty : string), members) =
     List.map
       (fun (slot, (rq : Protocol.request)) ->
         let ctx = ctx_of rq in
+        Telemetry.incr m_unknown_types;
         ( slot,
           Protocol.error ~id:rq.rq_id ~trace_id:ctx.trace_id
             ~code:"unknown_type" ~detail,
@@ -110,9 +114,12 @@ let serve_group t ((ty : string), members) =
         match answer entry ctx.trace_id rq with
         | resp -> (slot, resp, true)
         | exception exn ->
+          let detail = Printexc.to_string exn in
+          Telemetry.incr m_internal_errors;
+          Telemetry.Flight.record ~kind:"internal" detail;
           ( slot,
             Protocol.error ~id:rq.rq_id ~trace_id:ctx.trace_id
-              ~code:"internal" ~detail:(Printexc.to_string exn),
+              ~code:"internal" ~detail,
             false ))
       members
 
@@ -159,6 +166,7 @@ let classify t inflight (c : conn) (item : Frame.item) : outcome =
     Telemetry.incr m_requests;
     (match Protocol.request_of_json p with
      | Error pe ->
+       Telemetry.incr m_bad_requests;
        Ready
          (Protocol.error
             ~id:(Option.value pe.pe_id ~default:(-1))

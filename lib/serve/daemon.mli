@@ -26,7 +26,12 @@
     the request's [trace_id] when present, minted otherwise — so spans
     and flight events are attributable across the wire.  A request that
     raises is answered with an [internal] error; the daemon itself does
-    not crash.
+    not crash.  Every rejection is counted: [bad_frame] in
+    [daemon.bad_frames], [overloaded] in [daemon.overloaded],
+    [bad_request] in [daemon.bad_requests], [unknown_type] in
+    [daemon.unknown_types] and [internal] in [daemon.internal_errors],
+    which also records an [internal] flight event with the exception
+    text.
 
     The daemon keeps its own always-on served/rejected tallies for
     [health] responses: {!Telemetry} counters are gated on the global

@@ -22,14 +22,18 @@ val encode : string -> string
 type item =
   | Payload of string  (** one complete well-formed frame's payload *)
   | Bad_header of string
-      (** a non-numeric header line; the decoder resynced past it and
-          the connection can continue *)
+      (** a non-numeric header line, or the first eight bytes of one
+          that reached eight bytes; the decoder resynced past it (at
+          the next newline, which may arrive in a later read) and the
+          connection can continue *)
   | Bad_terminator
       (** the declared length was not followed by a newline; the
           decoder resynced at the next line boundary *)
   | Too_large of int
-      (** header declared more than {!max_payload}; the decoder is
-          poisoned and the connection must be dropped *)
+      (** header declared more than {!max_payload}, or began with
+          eight digits (reported as [max_int]) whether or not its
+          newline has arrived; the decoder is poisoned and the
+          connection must be dropped *)
 
 type decoder
 (** Incremental decoder over a byte stream; buffers partial frames
@@ -39,7 +43,9 @@ val decoder : unit -> decoder
 val feed : decoder -> string -> unit
 
 val pending : decoder -> int
-(** Unconsumed buffered bytes (diagnostics only). *)
+(** Unconsumed buffered bytes (diagnostics only).  After {!next}
+    returns [None] on a decoder that is not poisoned, this is at most a
+    seven-byte header line or one incomplete frame. *)
 
 val next : decoder -> item option
 (** Extract the next item, or [None] when the buffer holds no complete

@@ -43,12 +43,18 @@ let flip rng s =
     done;
   Bytes.to_string b
 
+(* Up to 200 bytes with no newline: a header line that never ends. *)
+let newline_free rng =
+  String.init (1 + int rng 200) (fun _ ->
+      match Char.chr (int rng 256) with '\n' -> ' ' | c -> c)
+
 (* One piece of a stream: a well-formed frame, or one damaged in one of
    the ways a client or a link can damage it. *)
 let piece rng id =
   let p = request rng id in
   let n = String.length p in
-  match int rng 10 with
+  match int rng 11 with
+  | 10 -> newline_free rng
   | 0 | 1 | 2 | 3 -> Frame.encode p
   | 4 -> Frame.encode (flip rng p)
   | 5 -> flip rng (Frame.encode p)
@@ -59,28 +65,56 @@ let piece rng id =
     let f = Frame.encode p in
     String.sub f 0 (int rng (String.length f))
 
-(* An oversized header poisons the connection by design, so it only
-   ever comes last. *)
+(* An oversized header or a run of eight or more digits poisons the
+   connection by design, so it only ever comes last; so does a
+   newline-free tail, which would swallow what follows. *)
 let stream rng =
   let pieces = List.init (5 + int rng 25) (piece rng) in
-  let oversized =
-    if int rng 4 = 0 then
-      [ Printf.sprintf "%d\n" (Frame.max_payload + 1 + int rng 1000) ]
-    else []
+  let tail =
+    match int rng 8 with
+    | 0 -> [ Printf.sprintf "%d\n" (Frame.max_payload + 1 + int rng 1000) ]
+    | 1 -> [ String.init (8 + int rng 40) (fun _ -> Char.chr (48 + int rng 10)) ]
+    | 2 -> [ newline_free rng ]
+    | _ -> []
   in
-  String.concat "" (pieces @ oversized)
+  String.concat "" (pieces @ tail)
+
+(* After a drain, what stays buffered is a header line of at most seven
+   bytes still waiting for its newline, or one frame still waiting for
+   the rest of its payload — never more — until the decoder is
+   poisoned.  [fed] holds every byte fed so far. *)
+let check_pending fed dec =
+  let n = Frame.pending dec in
+  let buffered = Buffer.sub fed (Buffer.length fed - n) n in
+  let ok =
+    match String.index_opt buffered '\n' with
+    | None -> n <= 7
+    | Some nl ->
+      let header = String.sub buffered 0 nl in
+      nl >= 1 && nl <= 7
+      && String.for_all (fun c -> c >= '0' && c <= '9') header
+      && n < nl + 1 + int_of_string header + 1
+  in
+  if not ok then Alcotest.failf "%d bytes stay buffered: %S" n buffered
 
 let decode chunks =
   let dec = Frame.decoder () in
+  let fed = Buffer.create 1024 in
+  let poisoned = ref false in
   List.concat_map
     (fun chunk ->
       Frame.feed dec chunk;
+      Buffer.add_string fed chunk;
       let rec drain acc =
         match Frame.next dec with
-        | Some item -> drain (item :: acc)
+        | Some item ->
+          (match item with Frame.Too_large _ -> poisoned := true | _ -> ());
+          drain (item :: acc)
         | None -> List.rev acc
       in
-      drain [])
+      let items = drain [] in
+      if not !poisoned then check_pending fed dec;
+      items)
     chunks
 
 (* [s] in chunks of 1 to 64 bytes. *)
@@ -281,6 +315,13 @@ let nonfinite_text =
             { (hist 2 1.0) with h_sum = Float.infinity; h_mean = Float.nan;
               h_min = Float.neg_infinity } ) ] }
 
+(* [%.17g] alone writes -0.0 as "-0", which reads back as 0. *)
+let negzero_text =
+  render
+    { Telemetry.counters = [];
+      histograms =
+        [ ("serve.column_latency_ms", { (hist 2 1.0) with h_min = -0.0 }) ] }
+
 (* Replace the value after a random ':' (the snapshot's names hold
    none) with a value of another type. *)
 let swap_value rng s =
@@ -302,12 +343,13 @@ let swap_value rng s =
   let stop = value_end at 0 in
   String.sub s 0 at
   ^ pick rng [| {|"7"|}; "null"; "true"; "[]"; "{}"; "1.5"; "-2"; "1e400";
-                {|{"count":1}|} |]
+                "-0.0"; "-0"; {|{"count":1}|} |]
   ^ String.sub s stop (n - stop)
 
 (* The decoder behind [autotype stats --snapshot]: the bench's own file
-   and a snapshot with non-finite fields round-trip, anything that is
-   not two objects of metrics is an Error, and no mutant raises. *)
+   and snapshots with non-finite or -0.0 fields round-trip, anything
+   that is not two objects of metrics is an Error, no mutant raises,
+   and every mutant that loads renders to text that round-trips. *)
 let test_snapshot_files () =
   let decode text =
     match Serve.Ingest.snapshot_of_string text with
@@ -323,6 +365,12 @@ let test_snapshot_files () =
   in
   round_trips "the bench's format" snapshot_text;
   round_trips "a snapshot with non-finite fields" nonfinite_text;
+  round_trips "a snapshot with a -0.0 field" negzero_text;
+  (match decode negzero_text with
+   | Ok { Telemetry.histograms = [ (_, h) ]; _ } ->
+     Alcotest.(check bool) "a -0.0 min keeps its sign" true
+       (h.Telemetry.h_min = 0.0 && Float.sign_bit h.Telemetry.h_min)
+   | Ok _ | Error _ -> Alcotest.fail "the -0.0 snapshot decodes to one histogram");
   (* A sum past the float range decodes to infinity, which renders as
      "+Inf" and reads back; the other fields differ, so each must come
      back under its own key. *)
@@ -360,6 +408,12 @@ let test_snapshot_files () =
     match decode text with
     | Ok snap ->
       incr oks;
+      (* What loads renders to text that loads back to the same bytes. *)
+      let once = render snap in
+      (match decode once with
+       | Ok snap' when render snap' = once -> ()
+       | Ok _ | Error _ ->
+         Alcotest.failf "%S: its rendering %S does not round-trip" text once);
       (match Telemetry.Expose.lint (Telemetry.Expose.render_prometheus snap)
        with
        | Ok _ | Error _ -> ()

@@ -500,6 +500,42 @@ let test_fault_injection_hooks () =
   | Interp.Finished (Value.Vint 100) -> ()
   | o -> Alcotest.fail ("clean run must finish, got " ^ show_outcome o)
 
+(* Names that miss local and module scope resolve through
+   [Rt.lookup_fallback], which the test suite's reference evaluator
+   shares with the VM, so engine parity cannot catch a change in its
+   precedence.  Checked here directly: builtins, then [re] and [sys],
+   then [argv], then exception kinds, then [NameError]. *)
+let test_name_fallback () =
+  let ctx = Interp.create_ctx ~argv:[ "prog.py"; "x" ] (Trace.create_collector ()) in
+  let resolves name expected =
+    Alcotest.(check string) name expected
+      (Value.to_repr_string (Rt.lookup_fallback ctx name))
+  in
+  List.iter (fun n -> resolves n ("<builtin " ^ n ^ ">")) Interp.builtin_names;
+  List.iter
+    (fun k -> resolves k ("<builtin exc:" ^ k ^ ">"))
+    Interp.known_exception_kinds;
+  resolves "re" "<builtin re_module>";
+  resolves "sys" "<builtin sys_module>";
+  Alcotest.(check bool) "argv is the run's own list" true
+    (Rt.lookup_fallback ctx "argv" == ctx.Rt.argv);
+  (match Rt.lookup_fallback ctx "no_such_name" with
+   | v -> Alcotest.failf "an unknown name resolved to %s" (Value.to_repr_string v)
+   | exception Value.Runtime_error (kind, msg) ->
+     Alcotest.(check (pair string string)) "an unknown name"
+       ("NameError", "name 'no_such_name' is not defined") (kind, msg));
+  (* Module scope wins over every fallback. *)
+  let shadow = "len = 7\n\ndef f(s):\n    return len\n" in
+  (match (run_function shadow "f" [ "abc" ]).Interp.outcome with
+   | Interp.Finished (Value.Vint 7) -> ()
+   | o -> Alcotest.fail ("a module len must shadow the builtin, got " ^ show_outcome o));
+  let construct =
+    "def f(s):\n    e = ValueError(\"bad \" + s)\n    raise e\n"
+  in
+  match (run_function construct "f" [ "x" ]).Interp.outcome with
+  | Interp.Errored ("ValueError", "bad x") -> ()
+  | o -> Alcotest.fail ("ValueError(...) must construct, got " ^ show_outcome o)
+
 let prop_interp_deterministic =
   QCheck.Test.make ~count:50 ~name:"interpreter runs are deterministic"
     QCheck.(string_of_size (QCheck.Gen.int_bound 20))
@@ -535,5 +571,6 @@ let suite =
     ("cancellation uncatchable by try", `Quick, test_cancellation_uncatchable);
     ("deadline vs step budget", `Quick, test_deadline_vs_budget);
     ("fault injection hooks", `Quick, test_fault_injection_hooks);
+    ("name fallback precedence", `Quick, test_name_fallback);
     QCheck_alcotest.to_alcotest prop_interp_deterministic;
   ]

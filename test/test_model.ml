@@ -53,6 +53,17 @@ let test_jsonx_roundtrip () =
   (match Model.Jsonx.parse s with
    | Ok v' -> Alcotest.(check bool) "value round-trips" true (v = v')
    | Error e -> Alcotest.fail ("parse of own output failed: " ^ e));
+  (* [=] equates -0.0 with 0.0, so the sign is checked on its own;
+     an integer -0 stays an integer. *)
+  let neg_zero = Model.Jsonx.to_string (Model.Jsonx.Float (-0.0)) in
+  (match Model.Jsonx.parse neg_zero with
+   | Ok (Model.Jsonx.Float f) ->
+     Alcotest.(check bool) (neg_zero ^ " keeps the sign of -0.0") true
+       (f = 0.0 && Float.sign_bit f)
+   | Ok _ | Error _ -> Alcotest.failf "%s does not read back as a float" neg_zero);
+  (match Model.Jsonx.parse {|{"id":-0}|} with
+   | Ok (Model.Jsonx.Obj [ ("id", Model.Jsonx.Int 0) ]) -> ()
+   | Ok _ | Error _ -> Alcotest.fail {|{"id":-0} must decode as an integer|});
   (* \uXXXX escapes decode to UTF-8. *)
   (match Model.Jsonx.parse {|"aAé"|} with
    | Ok (Model.Jsonx.Str s) ->

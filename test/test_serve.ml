@@ -123,7 +123,9 @@ let test_frame_resync () =
   in
   (match items with
    | [ Serve.Frame.Bad_header h; Serve.Frame.Payload p ] ->
-     Alcotest.(check string) "offending header" "not-a-number" h;
+     (* reported by its first eight bytes, as a header that has not
+        met its newline yet would be *)
+     Alcotest.(check string) "offending header" "not-a-nu" h;
      Alcotest.(check string) "frame after resync" "{\"id\":7}" p
    | _ -> Alcotest.fail "expected Bad_header then Payload");
   (* A header that lies about the length costs one frame, not the
@@ -143,7 +145,23 @@ let test_frame_resync () =
    | _ -> Alcotest.fail "expected Too_large");
   Serve.Frame.feed dec good;
   Alcotest.(check bool) "poisoned decoder yields nothing" true
-    (Serve.Frame.next dec = None)
+    (Serve.Frame.next dec = None);
+  (* A header line is answered by its eighth byte, newline or not:
+     anything but eight digits is a bad header, resynced past at the
+     next newline, and nothing of it stays buffered. *)
+  let dec = Serve.Frame.decoder () in
+  (match feed_all dec (List.init 12 (fun _ -> "x")) with
+   | [ Serve.Frame.Bad_header h ] ->
+     Alcotest.(check string) "cut at the eighth byte" "xxxxxxxx" h
+   | _ -> Alcotest.fail "expected one Bad_header by the eighth byte");
+  Alcotest.(check int) "nothing stays buffered" 0 (Serve.Frame.pending dec);
+  (match feed_all dec [ "xx\n" ^ good ] with
+   | [ Serve.Frame.Payload p ] ->
+     Alcotest.(check string) "frame after the cut line" "{\"id\":7}" p
+   | _ -> Alcotest.fail "expected the frame after the newline");
+  match feed_all (Serve.Frame.decoder ()) [ "1234"; "5678" ] with
+  | [ Serve.Frame.Too_large _ ] -> ()
+  | _ -> Alcotest.fail "expected Too_large at the eighth digit"
 
 (* ------------------------------- protocol --------------------------- *)
 
@@ -322,6 +340,37 @@ let test_daemon_pipe_roundtrip () =
     (J.to_str (J.member "error" missing.Serve.Protocol.rp_body));
   Alcotest.(check bool) "shutdown acknowledged" true
     (reply 6).Serve.Protocol.rp_ok
+
+(* Every rejection code has a counter: two malformed requests, one
+   request for a type the registry lacks, and no internal error. *)
+let test_daemon_counts_rejections () =
+  Telemetry.enable ();
+  Telemetry.reset ();
+  Fun.protect ~finally:(fun () -> Telemetry.disable (); Telemetry.reset ())
+  @@ fun () ->
+  let replies, _, _ =
+    run_over_pipes
+      [ "this is not json";
+        {|{"id":2,"op":"validate","values":["1.2.3.4"]}|};
+        {|{"id":3,"op":"validate","type":"no-such-type","values":["1.2.3.4"]}|};
+        {|{"id":4,"op":"validate","type":"ipv4","values":["1.2.3.4"]}|};
+        {|{"id":5,"op":"shutdown"}|} ]
+  in
+  let codes =
+    List.map
+      (fun r ->
+        if r.Serve.Protocol.rp_ok then "ok"
+        else J.to_str (J.member "error" r.Serve.Protocol.rp_body))
+      replies
+  in
+  Alcotest.(check (list string)) "reply codes"
+    [ "bad_request"; "bad_request"; "unknown_type"; "ok"; "ok" ] codes;
+  let snap = Telemetry.snapshot () in
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check int) name n (Telemetry.find_counter snap name))
+    [ ("daemon.bad_requests", 2); ("daemon.unknown_types", 1);
+      ("daemon.internal_errors", 0) ]
 
 (* A request's type goes to the registry as a key: one that is no
    model file name of the directory is an unknown type, even when the
@@ -738,4 +787,6 @@ let suite =
     ("daemon stats reply decodes as a snapshot", `Slow,
      test_daemon_stats_reply);
     ("daemon over a Unix socket", `Slow, test_daemon_socket);
-    ("empty values count in column totals", `Slow, test_empty_column_totals) ]
+    ("empty values count in column totals", `Slow, test_empty_column_totals);
+    ("daemon counts bad_request and unknown_type replies", `Slow,
+     test_daemon_counts_rejections) ]

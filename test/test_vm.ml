@@ -419,6 +419,93 @@ let test_compile_cache () =
       compiles1 compiles2
   | None -> Alcotest.fail "script-variable candidate not found"
 
+(* ------------------------- loaded-scope reuse ----------------------- *)
+
+(* A repository with no [global] whose entry function grows a module
+   list, a module dict and a list nested in that dict, and answers from
+   that state.  The driver reuses its loaded scope and must put every
+   table back between runs: without that, every run after the first
+   answers False. *)
+let restored_tables_source =
+  "SEEN = []\n\
+   STATE = {\"hits\": []}\n\n\
+   def track(s):\n\
+  \    grew = len(SEEN) > 0 or len(STATE) > 1 or len(STATE[\"hits\"]) > 0\n\
+  \    SEEN.append(s)\n\
+  \    STATE[s] = len(s)\n\
+  \    STATE[\"hits\"].append(s)\n\
+  \    if grew:\n\
+  \        return False\n\
+  \    return s.isdigit()\n"
+
+let scope_counts () =
+  let snap = Telemetry.snapshot () in
+  ( Telemetry.find_counter snap "driver.scope_loads",
+    Telemetry.find_counter snap "driver.scope_cache_hits" )
+
+(* Three runs of a repository's [f] on "12", "ab" and "34": their
+   outcomes, and how many of the runs loaded the scope and how many
+   reused it. *)
+let three_runs name source =
+  let repo =
+    Repolib.Repo.make name "scope reuse"
+      [ { Repolib.Repo.path = "r/main.py"; source } ]
+  in
+  match
+    List.find_opt
+      (fun (c : Repolib.Candidate.t) ->
+        c.Repolib.Candidate.func_name = "f"
+        && c.Repolib.Candidate.invocation = Repolib.Candidate.Direct)
+      (Repolib.Analyzer.candidates_of_repo repo)
+  with
+  | None -> Alcotest.failf "%s: no Direct candidate f" name
+  | Some c ->
+    let loads0, hits0 = scope_counts () in
+    let answers =
+      List.map
+        (fun input ->
+          outcome_str (Repolib.Driver.run_safe c input).Interp.outcome)
+        [ "12"; "ab"; "34" ]
+    in
+    let loads1, hits1 = scope_counts () in
+    (answers, loads1 - loads0, hits1 - hits0)
+
+let test_scope_reuse () =
+  Telemetry.enable ();
+  Fun.protect ~finally:(fun () -> Telemetry.disable (); Telemetry.reset ())
+  @@ fun () ->
+  let check name source ~expected ~loads =
+    let answers, l, h = three_runs name source in
+    Alcotest.(check (list string)) (name ^ ": answers") expected answers;
+    Alcotest.(check (pair int int)) (name ^ ": (loads, reuses)")
+      (loads, 3 - loads) (l, h)
+  in
+  let digits = [ "Finished <bool> True"; "Finished <bool> False";
+                 "Finished <bool> True" ] in
+  check "vm-scope/tables"
+    (restored_tables_source ^ "\ndef f(s):\n    return track(s)\n")
+    ~expected:digits ~loads:1;
+  (* A module-level object has fields no cell covers: reload each run. *)
+  check "vm-scope/object"
+    "class Box:\n\
+    \    def __init__(self):\n\
+    \        self.n = 0\n\n\
+     BOX = Box()\n\n\
+     def f(s):\n\
+    \    BOX.n = BOX.n + 1\n\
+    \    return BOX.n == 1 and s.isdigit()\n"
+    ~expected:digits ~loads:3;
+  (* A list that contains itself: the walk terminates, and the cell is
+     put back like any other. *)
+  check "vm-scope/cycle"
+    "L = []\n\
+     L.append(L)\n\n\
+     def f(s):\n\
+    \    n = len(L)\n\
+    \    L.append(s)\n\
+    \    return n == 1 and len(L[0]) == 2 and s.isdigit()\n"
+    ~expected:digits ~loads:1
+
 (* --------------------------- corpus parity ------------------------- *)
 
 (* Every invocation plan, by name.  The match is exhaustive, so a new
@@ -442,9 +529,10 @@ let all_plans =
       "Via_stdin"; "Via_file"; "Script_var"; "Script_argv"; "Script_stdin";
       "Split_call" ]
 
-(* One small repository for each plan the four-type workload lacks,
-   and one whose module state changes on every call, which the driver
-   must reload rather than reuse. *)
+(* One small repository for each plan the four-type workload lacks; one
+   whose module state changes on every call through [global], which the
+   driver must reload rather than reuse; and the restored tables
+   above. *)
 let plan_repos =
   [ ( "Direct",
       "SEEN = []\n\
@@ -456,6 +544,7 @@ let plan_repos =
       \    if calls > 1 or len(SEEN) > 1:\n\
       \        return False\n\
       \    return s.isdigit()\n" );
+    ("Direct", restored_tables_source);
     ( "Ctor_then_method",
       "class Card:\n\
       \    def __init__(self, s):\n\
@@ -540,10 +629,12 @@ let test_corpus_parity () =
           compare_all ~config:(Repolib.Driver.config_for ~input_len c) c inputs)
         candidates)
     [ "credit-card"; "ipv4"; "email"; "isbn" ];
-  List.iter
-    (fun (plan, source) ->
+  List.iteri
+    (fun i (plan, source) ->
       let repo =
-        Repolib.Repo.make ("vm-plans/" ^ plan) ("invocation plan " ^ plan)
+        Repolib.Repo.make
+          (Printf.sprintf "vm-plans/%d-%s" i plan)
+          ("invocation plan " ^ plan)
           [ { Repolib.Repo.path = "p/main.py"; source } ]
       in
       match
@@ -574,5 +665,7 @@ let suite =
       `Quick test_deadline_parity;
     Alcotest.test_case "compiled programs are cached per candidate" `Quick
       test_compile_cache;
+    Alcotest.test_case "reused scopes are put back; objects reload" `Quick
+      test_scope_reuse;
     Alcotest.test_case "corpus workload and every plan match the oracle" `Slow
       test_corpus_parity ]
