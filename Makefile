@@ -12,7 +12,7 @@ test:
 # error-severity diagnostic (warnings are gated separately by the
 # corpus-hygiene test's allowlist).
 lint:
-	dune exec bin/autotype_cli.exe -- lint --strict --all-corpus
+	dune exec bin/autotype_cli.exe -- lint --strict
 
 # Abstract-interpretation smoke (DESIGN.md §13): the reference regex
 # detector must be proven pure, step-bounded and summarizable, and the

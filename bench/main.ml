@@ -944,7 +944,7 @@ let with_daemon registry f =
          await ())
   in
   await ();
-  let served, rejected = Domain.join daemon in
+  let served, rejected = Result.get_ok (Domain.join daemon) in
   Unix.close client;
   Unix.close server;
   (result, served, rejected)

@@ -622,7 +622,7 @@ let serve_cmd =
         (* All diagnostics go to stderr: in stdio mode stdout is the
            protocol channel. *)
         let models_n = List.length (Model.Registry.keys registry) in
-        let served, rejected =
+        let outcome =
           match socket with
           | Some path ->
             Printf.eprintf "serving %d model(s) on %s\n%!" models_n path;
@@ -631,9 +631,12 @@ let serve_cmd =
             Printf.eprintf "serving %d model(s) on stdio\n%!" models_n;
             Serve.Daemon.run_fds cfg ~in_fd:Unix.stdin ~out_fd:Unix.stdout
         in
-        Printf.eprintf "daemon exit: %d request(s) served, %d rejected\n%!"
-          served rejected;
-        0
+        match outcome with
+        | Error msg -> Printf.eprintf "cannot serve: %s\n" msg; 1
+        | Ok (served, rejected) ->
+          Printf.eprintf "daemon exit: %d request(s) served, %d rejected\n%!"
+            served rejected;
+          0
   in
   Cmd.v
     (Cmd.info "serve"
@@ -648,12 +651,6 @@ let lint_repo_arg =
   Arg.(value & opt (some string) None
        & info [ "repo" ] ~docv:"NAME"
            ~doc:"Lint only the corpus repository named $(docv).")
-
-let all_corpus_arg =
-  Arg.(value & flag
-       & info [ "all-corpus" ]
-           ~doc:"Lint every repository in the corpus (the default when \
-                 neither $(b,--repo) nor $(b,--query) is given).")
 
 let strict_arg =
   Arg.(value & flag
@@ -712,8 +709,7 @@ let json_of_candidate_facts c : Model.Jsonx.t =
         | None -> Model.Jsonx.Null)) ]
 
 let lint_cmd =
-  let run repo_name query all_corpus strict json verbose =
-    ignore all_corpus;
+  let run repo_name query strict json verbose =
     let repos =
       match (repo_name, query) with
       | Some name, _ ->
@@ -806,7 +802,7 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Run the static analyzer over corpus MiniScript sources")
-    Term.(const run $ lint_repo_arg $ query_arg $ all_corpus_arg $ strict_arg
+    Term.(const run $ lint_repo_arg $ query_arg $ strict_arg
           $ lint_json_arg $ lint_verbose_arg)
 
 (* -------------------------------- types ---------------------------- *)

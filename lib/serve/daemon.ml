@@ -63,65 +63,55 @@ let send c payload =
 (* --- per-cycle processing ------------------------------------------ *)
 
 (* Outcome of classifying one inbound item: either a response computed
-   on the spot (frame errors, rejections, registry-free ops) or a
-   request deferred into this cycle's per-type batches. *)
+   on the spot (frame errors, rejections, registry-free ops) or an
+   admitted validate/detect, answered in the cycle's ordered pass. *)
 type outcome =
   | Ready of string
-  | Batched of Protocol.request
+  | Admitted of Protocol.request
 
 let ctx_of (rq : Protocol.request) =
   match rq.rq_trace_id with
   | Some trace_id -> { Telemetry.Context.trace_id; request_id = rq.rq_id }
   | None -> Telemetry.Context.root ~request_id:rq.rq_id ()
 
-(* Answer one validate/detect request against an already-served model.
-   Budgeted or not, it takes the one serve route. *)
-let answer entry trace_id (rq : Protocol.request) =
-  let budgets =
-    Detect.budgets ?value_budget_ms:rq.rq_value_budget_ms
-      ?deadline_ms:rq.rq_deadline_ms ()
+(* Answer one admitted validate/detect: look its type up, then take the
+   one serve route, budgeted or not, under the request's trace context.
+   Returns the response and whether it is [ok]; tallies are applied by
+   the caller so this can run on a pool worker. *)
+let answer t (rq : Protocol.request) =
+  let ctx = ctx_of rq in
+  let error code detail =
+    (Protocol.error ~id:rq.rq_id ~trace_id:ctx.trace_id ~code ~detail, false)
   in
-  let verdicts = Detect.serve ~budgets (Detect.Loaded entry) rq.rq_values in
-  match rq.rq_op with
-  | Protocol.Validate -> Protocol.ok_validate ~id:rq.rq_id ~trace_id ~verdicts
-  | Protocol.Detect ->
-    Protocol.ok_detect ~id:rq.rq_id ~trace_id
-      ~verdict:(Detect.column_verdict verdicts)
-  | Protocol.Stats | Protocol.Health | Protocol.Shutdown ->
-    assert false  (* never batched *)
-
-(* Serve one per-type batch: a single registry lookup covers every
-   request for the type this cycle.  Returns [(slot, response, ok)] —
-   tallies are applied by the caller so this can run on a pool worker. *)
-let serve_group t ((ty : string), members) =
-  match Model.Registry.find t.cfg.registry ty with
+  (* the parser guarantees a validate/detect its type *)
+  match Model.Registry.find t.cfg.registry (Option.get rq.rq_type) with
   | Error err ->
-    let detail = Model.Artifact.load_error_to_string err in
-    List.map
-      (fun (slot, (rq : Protocol.request)) ->
-        let ctx = ctx_of rq in
-        Telemetry.incr m_unknown_types;
-        ( slot,
-          Protocol.error ~id:rq.rq_id ~trace_id:ctx.trace_id
-            ~code:"unknown_type" ~detail,
-          false ))
-      members
+    Telemetry.incr m_unknown_types;
+    error "unknown_type" (Model.Artifact.load_error_to_string err)
   | Ok entry ->
-    List.map
-      (fun (slot, (rq : Protocol.request)) ->
-        let ctx = ctx_of rq in
-        Telemetry.Context.with_context ctx @@ fun () ->
-        match answer entry ctx.trace_id rq with
-        | resp -> (slot, resp, true)
-        | exception exn ->
-          let detail = Printexc.to_string exn in
-          Telemetry.incr m_internal_errors;
-          Telemetry.Flight.record ~kind:"internal" detail;
-          ( slot,
-            Protocol.error ~id:rq.rq_id ~trace_id:ctx.trace_id
-              ~code:"internal" ~detail,
-            false ))
-      members
+    Telemetry.Context.with_context ctx @@ fun () ->
+    let reply () =
+      let budgets =
+        Detect.budgets ?value_budget_ms:rq.rq_value_budget_ms
+          ?deadline_ms:rq.rq_deadline_ms ()
+      in
+      let verdicts = Detect.serve ~budgets (Detect.Loaded entry) rq.rq_values in
+      match rq.rq_op with
+      | Protocol.Validate ->
+        Protocol.ok_validate ~id:rq.rq_id ~trace_id:ctx.trace_id ~verdicts
+      | Protocol.Detect ->
+        Protocol.ok_detect ~id:rq.rq_id ~trace_id:ctx.trace_id
+          ~verdict:(Detect.column_verdict verdicts)
+      | Protocol.Stats | Protocol.Health | Protocol.Shutdown ->
+        assert false  (* answered by [classify] *)
+    in
+    match reply () with
+    | resp -> (resp, true)
+    | exception exn ->
+      let detail = Printexc.to_string exn in
+      Telemetry.incr m_internal_errors;
+      Telemetry.Flight.record ~kind:"internal" detail;
+      error "internal" detail
 
 let overloaded ~id ~detail =
   Protocol.error ~id ~trace_id:0L ~code:"overloaded" ~detail
@@ -160,8 +150,13 @@ let classify t inflight (c : conn) (item : Frame.item) : outcome =
     Ready
       (Protocol.error ~id:(-1) ~trace_id:0L ~code:"bad_frame"
          ~detail:
-           (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit"
-              len Frame.max_payload))
+           (Printf.sprintf "frame header %s declares more than the %d-byte \
+                            limit"
+              (* [Frame] reports eight digits as [max_int], which no
+                 client sent *)
+              (if len = max_int then "of eight or more digits"
+               else Printf.sprintf "%S" (string_of_int len))
+              Frame.max_payload))
   | Frame.Payload p ->
     Telemetry.incr m_requests;
     (match Protocol.request_of_json p with
@@ -188,7 +183,7 @@ let classify t inflight (c : conn) (item : Frame.item) : outcome =
      | Ok rq ->
        incr inflight;
        (match rq.rq_op with
-        | Protocol.Validate | Protocol.Detect -> Batched rq
+        | Protocol.Validate | Protocol.Detect -> Admitted rq
         | Protocol.Health ->
           t.served <- t.served + 1;
           let ctx = ctx_of rq in
@@ -201,57 +196,27 @@ let classify t inflight (c : conn) (item : Frame.item) : outcome =
                ~snapshot:(Telemetry.snapshot ()))
         | Protocol.Shutdown -> assert false))
 
-(* Group this cycle's batched requests by type, preserving first-seen
-   type order and per-type arrival order. *)
-let group_by_type batched =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (slot, (rq : Protocol.request)) ->
-      let ty = Option.get rq.rq_type in
-      (* guaranteed by the parser *)
-      if not (Hashtbl.mem tbl ty) then begin
-        Hashtbl.add tbl ty [];
-        order := ty :: !order
-      end;
-      Hashtbl.replace tbl ty ((slot, rq) :: Hashtbl.find tbl ty))
-    batched;
-  List.rev !order
-  |> List.map (fun ty -> (ty, List.rev (Hashtbl.find tbl ty)))
-
-(* Process one drain cycle's worth of inbound items: classify under the
-   admission budget, serve the per-type batches (on the pool when one
-   is configured), then write every response back in arrival order. *)
+(* Process one drain cycle's worth of inbound items in one ordered
+   pass: classify each under the admission budget, answer the admitted
+   validates/detects (on the pool when one is configured; [Exec.map]
+   keeps their order), then tally and write every response in arrival
+   order. *)
 let process_cycle t (items : (conn * Frame.item) list) =
   if items <> [] then begin
     let inflight = ref 0 in
     let outcomes =
       List.map (fun (c, item) -> (c, classify t inflight c item)) items
     in
-    let arr = Array.of_list outcomes in
-    let batched =
-      Array.to_list arr
-      |> List.mapi (fun slot (_, o) -> (slot, o))
-      |> List.filter_map (function
-        | slot, Batched rq -> Some (slot, rq)
-        | _, Ready _ -> None)
-    in
-    let groups = group_by_type batched in
-    Telemetry.incr ~by:(List.length groups) m_batches;
-    let computed =
-      Exec.map ?pool:t.cfg.pool (serve_group t) groups |> List.concat
-    in
-    List.iter
-      (fun (slot, resp, ok) ->
-        if ok then t.served <- t.served + 1;
-        arr.(slot) <- (fst arr.(slot), Ready resp))
-      computed;
-    Array.iter
-      (fun (c, outcome) ->
-        match outcome with
-        | Ready resp -> send c resp
-        | Batched _ -> assert false)
-      arr
+    if List.exists (function _, Admitted _ -> true | _ -> false) outcomes
+    then Telemetry.incr m_batches;
+    Exec.map ?pool:t.cfg.pool
+      (function
+        | c, Ready resp -> (c, (resp, false))  (* tallied by [classify] *)
+        | c, Admitted rq -> (c, answer t rq))
+      outcomes
+    |> List.iter (fun (c, (resp, ok)) ->
+           if ok then t.served <- t.served + 1;
+           send c resp)
   end
 
 (* --- the event loop ------------------------------------------------ *)
@@ -285,13 +250,31 @@ let rec select_retry rfds =
   | readable, _, _ -> readable
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> select_retry rfds
 
+(* [select] refuses, with EINVAL, a descriptor at or past FD_SETSIZE;
+   the loop holds only descriptors that pass this zero-timeout probe. *)
+let rec watchable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> watchable fd
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+
+let fd_limit = "descriptor past select's FD_SETSIZE limit"
+
+(* Tell an accepted client the loop cannot watch so, and close it. *)
+let refuse t c =
+  t.rejected <- t.rejected + 1;
+  Telemetry.incr m_overloaded;
+  Telemetry.Flight.record ~kind:"overloaded" "daemon.connections";
+  send c (overloaded ~id:(-1) ~detail:("connection " ^ fd_limit));
+  close_conn c
+
 let ignore_sigpipe () =
   match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception (Invalid_argument _ | Sys_error _) -> ()
 
 (* The shared loop: one blocking select per cycle, one bounded read per
-   readable connection, then a full decoder drain and one batched
+   readable connection, then a full decoder drain and one ordered
    processing pass.  Because every complete frame is consumed each
    cycle, a blocking select never sits on buffered work. *)
 let run cfg ?listener conns0 =
@@ -316,7 +299,13 @@ let run cfg ?listener conns0 =
           match listener with
           | Some fd when List.mem fd readable ->
             (match Unix.accept ~cloexec:true fd with
-             | client, _ -> conn ~owned:true ~in_fd:client ~out_fd:client :: conns
+             | client, _ ->
+               let c = conn ~owned:true ~in_fd:client ~out_fd:client in
+               if watchable client then c :: conns
+               else begin
+                 refuse t c;
+                 conns
+               end
              | exception Unix.Unix_error _ -> conns)
           | _ -> conns
         in
@@ -343,7 +332,8 @@ let run cfg ?listener conns0 =
   (t.served, t.rejected)
 
 let run_fds cfg ~in_fd ~out_fd =
-  run cfg [ conn ~owned:false ~in_fd ~out_fd ]
+  if watchable in_fd then Ok (run cfg [ conn ~owned:false ~in_fd ~out_fd ])
+  else Error ("input " ^ fd_limit)
 
 let run_socket cfg ~path =
   (if Sys.file_exists path then
@@ -354,6 +344,9 @@ let run_socket cfg ~path =
       (try Unix.close listener with Unix.Unix_error _ -> ());
       try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
   @@ fun () ->
-  Unix.bind listener (Unix.ADDR_UNIX path);
-  Unix.listen listener 16;
-  run cfg ~listener []
+  if not (watchable listener) then Error ("listener " ^ fd_limit)
+  else begin
+    Unix.bind listener (Unix.ADDR_UNIX path);
+    Unix.listen listener 16;
+    Ok (run cfg ~listener [])
+  end

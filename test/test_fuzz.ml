@@ -139,6 +139,7 @@ let is_bad = function Frame.Payload _ -> false | _ -> true
 
 let test_frame_streams () =
   let registry = Test_serve.open_registry () in
+  Exec.Pool.with_pool ~jobs:2 @@ fun two_domains ->
   for seed = 1 to 1_000 do
     let rng = Random.State.make [| 0x5e7e; seed |] in
     let s = stream rng in
@@ -153,20 +154,27 @@ let test_frame_streams () =
     let ids =
       try List.map reply_id items with e -> escaped "request_of_json" e
     in
-    if seed mod 5 = 0 then begin
-      Telemetry.enable ();
-      Telemetry.reset ();
-      let replies, _, _ = Test_serve.run_bytes_over_pipes ~registry s in
-      Telemetry.disable ();
-      Alcotest.(check (list int))
-        (Printf.sprintf "seed %d: one reply per item, in order" seed)
-        ids
-        (List.map (fun r -> r.Serve.Protocol.rp_id) replies);
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: daemon.bad_frames" seed)
-        (List.length (List.filter is_bad items))
-        (Telemetry.find_counter (Telemetry.snapshot ()) "daemon.bad_frames")
-    end
+    if seed mod 5 = 0 then
+      (* with no pool, and with the cycle's requests spread over two
+         domains *)
+      List.iter
+        (fun (pool, how) ->
+          Telemetry.enable ();
+          Telemetry.reset ();
+          let replies, _, _ =
+            Test_serve.run_bytes_over_pipes ?pool ~registry s
+          in
+          Telemetry.disable ();
+          Alcotest.(check (list int))
+            (Printf.sprintf "seed %d %s: one reply per item, in order" seed
+               how)
+            ids
+            (List.map (fun r -> r.Serve.Protocol.rp_id) replies);
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d %s: daemon.bad_frames" seed how)
+            (List.length (List.filter is_bad items))
+            (Telemetry.find_counter (Telemetry.snapshot ()) "daemon.bad_frames"))
+        [ (None, "without a pool"); (Some two_domains, "on a pool") ]
   done
 
 (* ---------------------- front end: MiniScript ----------------------- *)

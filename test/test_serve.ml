@@ -141,7 +141,8 @@ let test_frame_resync () =
   let dec = Serve.Frame.decoder () in
   let items = feed_all dec [ Printf.sprintf "%d\n" (Serve.Frame.max_payload + 1) ] in
   (match items with
-   | [ Serve.Frame.Too_large _ ] -> ()
+   | [ Serve.Frame.Too_large n ] ->
+     Alcotest.(check int) "declared length" (Serve.Frame.max_payload + 1) n
    | _ -> Alcotest.fail "expected Too_large");
   Serve.Frame.feed dec good;
   Alcotest.(check bool) "poisoned decoder yields nothing" true
@@ -160,7 +161,8 @@ let test_frame_resync () =
      Alcotest.(check string) "frame after the cut line" "{\"id\":7}" p
    | _ -> Alcotest.fail "expected the frame after the newline");
   match feed_all (Serve.Frame.decoder ()) [ "1234"; "5678" ] with
-  | [ Serve.Frame.Too_large _ ] -> ()
+  | [ Serve.Frame.Too_large n ] ->
+    Alcotest.(check int) "eight digits reported as max_int" max_int n
   | _ -> Alcotest.fail "expected Too_large at the eighth digit"
 
 (* ------------------------------- protocol --------------------------- *)
@@ -235,8 +237,8 @@ let ipv4_synthesis () =
 (* Run the daemon synchronously over pipes: all request bytes are
    written up front and the write end closed, so the first drain cycle
    sees every frame at once — which makes admission-control outcomes
-   deterministic.  Returns the decoded replies in order. *)
-let run_bytes_over_pipes ?pool ?max_inflight ?registry request_bytes =
+   deterministic.  Returns the bytes the daemon wrote. *)
+let run_raw_over_pipes ?pool ?max_inflight ?registry request_bytes =
   let in_r, in_w = Unix.pipe ~cloexec:false () in
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let b = Bytes.of_string request_bytes in
@@ -247,7 +249,7 @@ let run_bytes_over_pipes ?pool ?max_inflight ?registry request_bytes =
     match registry with Some r -> r | None -> open_registry ()
   in
   let cfg = Serve.Daemon.config ?pool ?max_inflight registry in
-  let served, rejected = Serve.Daemon.run_fds cfg ~in_fd:in_r ~out_fd:out_w in
+  let outcome = Serve.Daemon.run_fds cfg ~in_fd:in_r ~out_fd:out_w in
   Unix.close in_r;
   Unix.close out_w;
   let buf = Buffer.create 4096 in
@@ -259,8 +261,13 @@ let run_bytes_over_pipes ?pool ?max_inflight ?registry request_bytes =
   in
   slurp ();
   Unix.close out_r;
-  let dec = Serve.Frame.decoder () in
-  Serve.Frame.feed dec (Buffer.contents buf);
+  match outcome with
+  | Ok (served, rejected) -> (Buffer.contents buf, served, rejected)
+  | Error msg -> Alcotest.fail ("daemon refused its input: " ^ msg)
+
+(* Decode replies from [dec] after feeding it [bytes]. *)
+let decode_replies dec bytes =
+  Serve.Frame.feed dec bytes;
   let rec drain acc =
     match Serve.Frame.next dec with
     | Some (Serve.Frame.Payload p) ->
@@ -270,7 +277,14 @@ let run_bytes_over_pipes ?pool ?max_inflight ?registry request_bytes =
     | Some _ -> Alcotest.fail "daemon emitted a malformed frame"
     | None -> List.rev acc
   in
-  (drain [], served, rejected)
+  drain []
+
+(* As [run_raw_over_pipes], returning the decoded replies in order. *)
+let run_bytes_over_pipes ?pool ?max_inflight ?registry request_bytes =
+  let raw, served, rejected =
+    run_raw_over_pipes ?pool ?max_inflight ?registry request_bytes
+  in
+  (decode_replies (Serve.Frame.decoder ()) raw, served, rejected)
 
 let run_over_pipes ?pool ?max_inflight frames =
   run_bytes_over_pipes ?pool ?max_inflight
@@ -282,19 +296,24 @@ let test_daemon_pipe_roundtrip () =
   let values = [ "1.2.3.4"; "not-an-ip"; ""; "255.255.255.255" ] in
   let column = [ "10.0.0.1"; "8.8.8.8"; "1.1.1.1"; "bogus"; "2.2.2.2" ] in
   let enc vs = J.List (List.map (fun v -> J.Str v) vs) in
+  (* Each request names its trace id, so no reply byte is minted. *)
+  let req id fields =
+    J.to_string
+      (J.Obj
+         ((("id", J.Int id) :: fields)
+         @ [ ("trace_id", J.Str (Printf.sprintf "%016x" (0x100 + id))) ]))
+  in
+  let health = req 3 [ ("op", J.Str "health") ] in
   let frames =
-    [ J.to_string
-        (J.Obj [ ("id", J.Int 1); ("op", J.Str "validate");
-                 ("type", J.Str "ipv4"); ("values", enc values) ]);
-      J.to_string
-        (J.Obj [ ("id", J.Int 2); ("op", J.Str "detect");
-                 ("type", J.Str "ipv4"); ("values", enc column) ]);
-      J.to_string (J.Obj [ ("id", J.Int 3); ("op", J.Str "health") ]);
+    [ req 1 [ ("op", J.Str "validate"); ("type", J.Str "ipv4");
+              ("values", enc values) ];
+      req 2 [ ("op", J.Str "detect"); ("type", J.Str "ipv4");
+              ("values", enc column) ];
+      health;
       "this is not json";
-      J.to_string
-        (J.Obj [ ("id", J.Int 5); ("op", J.Str "validate");
-                 ("type", J.Str "no-such-type"); ("values", enc values) ]);
-      J.to_string (J.Obj [ ("id", J.Int 6); ("op", J.Str "shutdown") ]) ]
+      req 5 [ ("op", J.Str "validate"); ("type", J.Str "no-such-type");
+              ("values", enc values) ];
+      req 6 [ ("op", J.Str "shutdown") ] ]
   in
   let replies, served, rejected = run_over_pipes frames in
   Alcotest.(check int) "six replies" 6 (List.length replies);
@@ -339,22 +358,53 @@ let test_daemon_pipe_roundtrip () =
   Alcotest.(check string) "unknown type code" "unknown_type"
     (J.to_str (J.member "error" missing.Serve.Protocol.rp_body));
   Alcotest.(check bool) "shutdown acknowledged" true
-    (reply 6).Serve.Protocol.rp_ok
+    (reply 6).Serve.Protocol.rp_ok;
+  (* A pool spreads the cycle's requests and keeps their order: the
+     replies are the same bytes with or without one.  Health is left
+     out, since its uptime is a clock reading. *)
+  let stream =
+    String.concat ""
+      (List.map Serve.Frame.encode (List.filter (( <> ) health) frames))
+  in
+  let bare, _, _ = run_raw_over_pipes stream in
+  let pooled, _, _ =
+    Exec.Pool.with_pool ~jobs:2 (fun pool -> run_raw_over_pipes ~pool stream)
+  in
+  Alcotest.(check string) "a pool changes no reply byte" bare pooled;
+  (* An oversized header is named as the client sent it, never by a
+     length no client sent. *)
+  List.iter
+    (fun (header, detail) ->
+      match run_bytes_over_pipes header with
+      | [ r ], _, _ ->
+        Alcotest.(check string) (String.escaped header) detail
+          (J.to_str (J.member "detail" r.Serve.Protocol.rp_body))
+      | _ -> Alcotest.fail "expected one bad_frame reply")
+    [ ("5000000\n",
+       {|frame header "5000000" declares more than the 4194304-byte limit|});
+      ("123456789\n",
+       "frame header of eight or more digits declares more than the \
+        4194304-byte limit") ]
 
 (* Every rejection code has a counter: two malformed requests, one
-   request for a type the registry lacks, and no internal error. *)
+   request for a type the registry lacks, one validate past the
+   admission budget, and no internal error.  All frames land in one
+   drain cycle, which answers its three admitted validates one by one:
+   one counted cycle, one registry lookup each. *)
 let test_daemon_counts_rejections () =
   Telemetry.enable ();
   Telemetry.reset ();
   Fun.protect ~finally:(fun () -> Telemetry.disable (); Telemetry.reset ())
   @@ fun () ->
   let replies, _, _ =
-    run_over_pipes
+    run_over_pipes ~max_inflight:3
       [ "this is not json";
         {|{"id":2,"op":"validate","values":["1.2.3.4"]}|};
         {|{"id":3,"op":"validate","type":"no-such-type","values":["1.2.3.4"]}|};
         {|{"id":4,"op":"validate","type":"ipv4","values":["1.2.3.4"]}|};
-        {|{"id":5,"op":"shutdown"}|} ]
+        {|{"id":5,"op":"validate","type":"ipv4","values":["1.2.3.4"]}|};
+        {|{"id":6,"op":"validate","type":"ipv4","values":["1.2.3.4"]}|};
+        {|{"id":7,"op":"shutdown"}|} ]
   in
   let codes =
     List.map
@@ -364,13 +414,18 @@ let test_daemon_counts_rejections () =
       replies
   in
   Alcotest.(check (list string)) "reply codes"
-    [ "bad_request"; "bad_request"; "unknown_type"; "ok"; "ok" ] codes;
+    [ "bad_request"; "bad_request"; "unknown_type"; "ok"; "ok"; "overloaded";
+      "ok" ]
+    codes;
   let snap = Telemetry.snapshot () in
+  let count = Telemetry.find_counter snap in
   List.iter
-    (fun (name, n) ->
-      Alcotest.(check int) name n (Telemetry.find_counter snap name))
+    (fun (name, n) -> Alcotest.(check int) name n (count name))
     [ ("daemon.bad_requests", 2); ("daemon.unknown_types", 1);
-      ("daemon.internal_errors", 0) ]
+      ("daemon.internal_errors", 0); ("daemon.overloaded", 1);
+      ("daemon.batches", 1) ];
+  Alcotest.(check int) "one registry lookup per admitted validate" 3
+    (count "serve.cache_hits" + count "serve.cache_misses")
 
 (* A request's type goes to the registry as a key: one that is no
    model file name of the directory is an unknown type, even when the
@@ -680,7 +735,27 @@ let test_daemon_stats_reply () =
     Alcotest.(check string) "the reply is the codec's own text" text
       (J.to_string (Serve.Ingest.snapshot_to_json snap))
 
+(* Dup [fd] until [select] refuses the copy: every copy, the refused
+   one first, or [] (all closed again) when the descriptor limit stops
+   [dup] first. *)
+let rec occupy_fds fd acc =
+  match Unix.dup ~cloexec:true fd with
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+    List.iter Unix.close acc;
+    []
+  | d ->
+    (match Unix.select [ d ] [] [] 0.0 with
+     | _ -> occupy_fds fd (d :: acc)
+     | exception Unix.Unix_error (Unix.EINVAL, _, _) -> d :: acc)
+
+(* The daemon runs as a Domain of this process and shares its
+   descriptor table, so occupying descriptors here decides which ones
+   the daemon's [accept] gets. *)
 let test_daemon_socket () =
+  Telemetry.enable ();
+  Telemetry.reset ();
+  Fun.protect ~finally:(fun () -> Telemetry.disable (); Telemetry.reset ())
+  @@ fun () ->
   let path = fresh_path ".sock" in
   let cfg = Serve.Daemon.config (open_registry ()) in
   let daemon = Domain.spawn (fun () -> Serve.Daemon.run_socket cfg ~path) in
@@ -688,48 +763,94 @@ let test_daemon_socket () =
   let rec connect tries =
     let fd = Unix.socket ~cloexec:false Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> fd
+    | () ->
+      (* a daemon that died answers nothing: fail rather than hang *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      fd
     | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
       when tries > 0 ->
       Unix.close fd;
       Unix.sleepf 0.02;
       connect (tries - 1)
   in
-  let fd = connect 250 in
-  let send payload =
+  let send fd payload =
     let s = Serve.Frame.encode payload in
     let b = Bytes.of_string s in
     ignore (Unix.write fd b 0 (Bytes.length b))
   in
-  send {|{"id":1,"op":"validate","type":"ipv4","values":["1.2.3.4","x"]}|};
-  send {|{"id":2,"op":"shutdown"}|};
-  let dec = Serve.Frame.decoder () in
-  let chunk = Bytes.create 4096 in
-  let rec read_replies acc =
-    if List.length acc >= 2 then List.rev acc
-    else
-      match Unix.read fd chunk 0 4096 with
-      | 0 -> List.rev acc
-      | n ->
-        Serve.Frame.feed dec (Bytes.sub_string chunk 0 n);
-        let rec drain acc =
-          match Serve.Frame.next dec with
-          | Some (Serve.Frame.Payload p) ->
-            (match Serve.Protocol.reply_of_json p with
-             | Ok r -> drain (r :: acc)
-             | Error m -> Alcotest.fail ("unparsable reply: " ^ m))
-          | Some _ -> Alcotest.fail "malformed frame from daemon"
-          | None -> acc
-        in
-        read_replies (drain acc)
+  (* Replies on [fd] until [n] have come or the daemon closed it. *)
+  let read_replies fd n =
+    let dec = Serve.Frame.decoder () in
+    let chunk = Bytes.create 4096 in
+    let rec go acc =
+      if List.length acc >= n then acc
+      else
+        match Unix.read fd chunk 0 4096 with
+        | 0 -> acc
+        | k -> go (acc @ decode_replies dec (Bytes.sub_string chunk 0 k))
+    in
+    go []
   in
-  let replies = read_replies [] in
+  let validate id =
+    Printf.sprintf
+      {|{"id":%d,"op":"validate","type":"ipv4","values":["1.2.3.4","x"]}|} id
+  in
+  let fd = connect 250 in
+  (* Its first reply means the daemon holds this connection, at a
+     descriptor it took before any were occupied. *)
+  send fd (validate 1);
+  let first = read_replies fd 1 in
+  let r, w = Unix.pipe ~cloexec:true () in
+  let refused =
+    match occupy_fds r [] with
+    | [] -> false  (* the descriptor limit comes before select's *)
+    | unwatchable :: _ as dups ->
+      Fun.protect ~finally:(fun () -> List.iter Unix.close dups) @@ fun () ->
+      (match Serve.Daemon.run_fds cfg ~in_fd:unwatchable ~out_fd:w with
+       | Ok _ -> Alcotest.fail "run_fds served a descriptor select refuses"
+       | Error _ -> ());
+      let late = connect 0 in
+      let replies = read_replies late max_int in
+      Unix.close late;
+      (match replies with
+       | [ rp ] ->
+         Alcotest.(check int) "refusal names no request" (-1)
+           rp.Serve.Protocol.rp_id;
+         Alcotest.(check string) "refused connection told overloaded"
+           "overloaded"
+           (J.to_str (J.member "error" rp.Serve.Protocol.rp_body))
+       | _ -> Alcotest.fail "expected one overloaded frame, then EOF");
+      true
+  in
+  Unix.close r;
+  Unix.close w;
+  send fd (validate 2);
+  send fd {|{"id":3,"op":"shutdown"}|};
+  let replies = first @ read_replies fd 2 in
   Unix.close fd;
-  let _served, _rejected = Domain.join daemon in
-  Alcotest.(check int) "two replies over the socket" 2 (List.length replies);
-  let r1 = List.find (fun r -> r.Serve.Protocol.rp_id = 1) replies in
-  Alcotest.(check (list string)) "socket verdicts" [ "VALID"; "invalid" ]
-    (str_list (J.member "verdicts" r1.Serve.Protocol.rp_body));
+  let served, rejected =
+    match Domain.join daemon with
+    | Ok totals -> totals
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check int) "three replies over the socket" 3 (List.length replies);
+  List.iter
+    (fun id ->
+      let rp = List.find (fun r -> r.Serve.Protocol.rp_id = id) replies in
+      Alcotest.(check (list string)) "socket verdicts" [ "VALID"; "invalid" ]
+        (str_list (J.member "verdicts" rp.Serve.Protocol.rp_body)))
+    [ 1; 2 ];
+  let rejections = if refused then 1 else 0 in
+  Alcotest.(check (pair int int)) "served and rejected" (3, rejections)
+    (served, rejected);
+  Alcotest.(check int) "refusals counted" rejections
+    (Telemetry.find_counter (Telemetry.snapshot ()) "daemon.overloaded");
+  Alcotest.(check bool) "refusals flight-recorded" refused
+    (List.exists
+       (fun (e : Telemetry.Flight.event) ->
+         e.Telemetry.Flight.f_kind = "overloaded"
+         && e.Telemetry.Flight.f_label = "daemon.connections")
+       (Telemetry.Flight.events ()));
   Alcotest.(check bool) "socket file removed on shutdown" false
     (Sys.file_exists path)
 
